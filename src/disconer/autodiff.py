@@ -63,19 +63,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # Elementwise and linear ops
 # ---------------------------------------------------------------------------
 
-def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = tape._node(a.data + b.data, None)
-
-    def back():
-        if out.grad is None:
-            return
-        _accum(a, out.grad)
-        _accum(b, out.grad)
-
-    out._backward = back
-    return out
-
-
 def add_n(tape: Tape, terms: list[Tensor]) -> Tensor:
     out = tape._node(sum(t.data for t in terms), None)
 
@@ -97,59 +84,6 @@ def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
             return
         _accum(a, out.grad * b.data)
         _accum(b, out.grad * a.data)
-
-    out._backward = back
-    return out
-
-
-def scale(tape: Tape, a: Tensor, k: float) -> Tensor:
-    out = tape._node(a.data * k, None)
-
-    def back():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * k)
-
-    out._backward = back
-    return out
-
-
-def tanh(tape: Tape, a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = tape._node(y, None)
-
-    def back():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * (1.0 - y * y))
-
-    out._backward = back
-    return out
-
-
-def matvec(tape: Tape, W: Tensor, x: Tensor) -> Tensor:
-    """W @ x for W (m, k), x (k,)."""
-    out = tape._node(W.data @ x.data, None)
-
-    def back():
-        if out.grad is None:
-            return
-        _accum(W, np.outer(out.grad, x.data))
-        _accum(x, W.data.T @ out.grad)
-
-    out._backward = back
-    return out
-
-
-def tmatvec(tape: Tape, W: Tensor, x: Tensor) -> Tensor:
-    """W.T @ x for W (m, k), x (m,)."""
-    out = tape._node(W.data.T @ x.data, None)
-
-    def back():
-        if out.grad is None:
-            return
-        _accum(W, np.outer(x.data, out.grad))
-        _accum(x, W.data @ out.grad)
 
     out._backward = back
     return out

@@ -17,8 +17,7 @@ from . import corpus as corpus_mod
 from . import evaluation, neural, schemas, transitions
 from .corpus import Corpus, CorpusError, ResampleMode
 
-CONFIG_PATH_KEYS = ("train_corpus", "dev_corpus", "test_corpus",
-                    "external_vectors", "checkpoint", "report")
+CONFIG_PATH_KEYS = ("train_corpus", "dev_corpus", "checkpoint")
 SCORER_FIELDS = {f.name: f.type for f in dataclasses.fields(neural.ScorerConfig)}
 
 
@@ -62,8 +61,7 @@ def read_corpus(path: str, fmt: str) -> Corpus:
             text = fh.read()
         with open(path + ".ann", encoding="utf-8") as fh:
             ann = fh.read()
-        boundaries = [(m, e) for m, e in _line_boundaries(text)]
-        corpus, warnings = corpus_mod.parse_standoff(text, ann, boundaries)
+        corpus, warnings = corpus_mod.parse_standoff(text, ann, _line_boundaries(text))
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         return corpus
@@ -117,7 +115,7 @@ def cmd_convert(args) -> int:
     if args.flatten:
         corpus = corpus_mod.flatten_for_flat_model(corpus)
     if args.resample:
-        corpus = corpus_mod.resample(corpus, ResampleMode(args.resample), args.seed)
+        corpus = corpus_mod.resample(corpus, ResampleMode(args.resample), args.seed or 0)
     write_corpus(corpus, args.output, args.to)
     return 0
 
@@ -240,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="disconer")
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--format", choices=("inline", "standoff", "tags"),
-                        default="inline")
+    parser.add_argument("--format", choices=("inline", "standoff"), default="inline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats")
@@ -288,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except (CorpusError, FileNotFoundError, ValueError) as exc:

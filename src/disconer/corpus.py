@@ -119,6 +119,15 @@ class Sentence:
         return [m for m in self.mentions if m.is_discontinuous]
 
 
+def check_not_nested(mentions: tuple[Mention, ...]) -> None:
+    """Reject a mention whose tokens are a proper subset of another's."""
+    sets = [m.token_set() for m in mentions]
+    for i in range(len(sets)):
+        for j in range(len(sets)):
+            if i != j and sets[i] < sets[j]:
+                raise CorpusError(f"nested mentions: {mentions[i]} inside {mentions[j]}")
+
+
 @dataclass(frozen=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
@@ -252,8 +261,8 @@ def parse_standoff(text_file: str, ann_file: str,
     Entity lines look like "T1\\tADR 0 6;16 23\\tmuscle fatigue" with
     character offsets; discontinuous spans are separated by ";". Character
     offsets are mapped to token indices. Mentions whose offsets do not land
-    on token boundaries, or which cross a sentence boundary, are skipped and
-    reported in the returned warning list.
+    on token boundaries, which cross a sentence boundary, or whose fragments
+    overlap, are skipped and reported in the returned warning list.
     """
     if sentence_boundaries is None:
         sentence_boundaries = [(0, len(text_file))]
@@ -297,14 +306,18 @@ def parse_standoff(text_file: str, ann_file: str,
                 ok = False
                 break
             sent_ids.add(si0)
-            frags.append(Fragment(t0, t1))
+            frags.append((t0, t1))
         if not ok:
             continue
         if len(sent_ids) != 1:
             warnings.append(f"{parts[0]}: mention crosses sentence boundaries; skipped")
             continue
         si = sent_ids.pop()
-        mention = Mention(etype, tuple(frags))
+        try:
+            mention = Mention(etype, tuple(Fragment(t0, t1) for t0, t1 in frags))
+        except CorpusError as exc:
+            warnings.append(f"{parts[0]}: {exc}; mention skipped")
+            continue
         if mention not in sent_mentions[si]:
             sent_mentions[si].append(mention)
 
@@ -348,23 +361,6 @@ class StatsReport:
             lines.append(f"{cat.value} = {self.category_histogram.get(cat, 0)}")
         lines.append(f"continuous_overlap = {self.continuous_overlap_count}")
         return "\n".join(lines)
-
-    def to_records(self) -> list[dict]:
-        records = [
-            {"metric": "sentences", "value": self.sentence_count},
-            {"metric": "mentions", "value": self.mention_count},
-            {"metric": "disc_mentions", "value": self.disc_mention_count},
-            {"metric": "disc_percentage", "value": self.disc_percentage},
-            {"metric": "avg_mention_length", "value": self.avg_mention_length},
-            {"metric": "avg_disc_mention_length", "value": self.avg_disc_mention_length},
-            {"metric": "avg_interval_length", "value": self.avg_interval_length},
-        ]
-        for k in sorted(self.component_histogram):
-            records.append({"metric": f"components_{k}", "value": self.component_histogram[k]})
-        for cat in Category:
-            records.append({"metric": cat.value, "value": self.category_histogram.get(cat, 0)})
-        records.append({"metric": "continuous_overlap", "value": self.continuous_overlap_count})
-        return records
 
 
 def corpus_stats(corpus: Corpus) -> StatsReport:

@@ -1,13 +1,12 @@
 """Trainable transition scorer.
 
-Token representations concatenate a word embedding with a char-CNN vector,
-run through a BiLSTM, and optionally gain a precomputed external contextual
-vector per token. Stack spans are encoded with a Stack-LSTM (push advances
-one step, pop restores the previous state exactly); reduces go through a
-shared affine composition; each of the top three spans can attend over the
-remaining buffer with multiplicative attention; the action history feeds a
-unidirectional LSTM. The concatenated parser features drive a softmax over
-the valid actions only.
+Token representations concatenate a word embedding with a char-CNN vector
+and run through a BiLSTM. Stack spans are encoded with a Stack-LSTM (push
+advances one step, pop restores the previous state exactly); reduces go
+through a shared affine composition; each of the top three spans can attend
+over the remaining buffer with multiplicative attention; the action history
+feeds a unidirectional LSTM. The concatenated parser features drive a
+softmax over the valid actions only.
 
 Everything is float64 and deterministic given the seed; training is plain
 per-sentence SGD with teacher forcing on oracle action sequences.
@@ -41,7 +40,6 @@ class ScorerConfig:
     stack_dim: int = 16
     action_dim: int = 12
     attention: bool = True
-    external_vec_dim: int = 0
     learning_rate: float = 0.1
     epochs: int = 30
     seed: int = 0
@@ -57,7 +55,7 @@ class ScorerConfig:
 
     @property
     def rep_dim(self) -> int:
-        return 2 * self.hidden_dim + self.external_vec_dim
+        return 2 * self.hidden_dim
 
     @property
     def feature_dim(self) -> int:
@@ -174,20 +172,15 @@ def init_params(config: ScorerConfig, vocab: Vocab, seed: int | None = None) -> 
 # Token representations
 # ---------------------------------------------------------------------------
 
-def token_reps(sentence: Sentence, external_vecs: np.ndarray | None,
-               params: ScorerParams, vocab: Vocab, config: ScorerConfig,
-               tape: Tape) -> tuple[list[Tensor], Tensor | None]:
+def token_reps(sentence: Sentence, params: ScorerParams, vocab: Vocab,
+               config: ScorerConfig, tape: Tape) -> tuple[list[Tensor], Tensor | None]:
     """Per-token contextual vectors c_i and their stacked (N, rep_dim) matrix.
 
-    Word embedding + char-CNN vector per token, BiLSTM over the sequence,
-    then the optional external contextual vector is concatenated. Unknown
-    words map to the UNK embedding.
+    Word embedding + char-CNN vector per token, BiLSTM over the sequence.
+    Unknown words map to the UNK embedding.
     """
     p = params.t
     n = len(sentence.tokens)
-    if config.external_vec_dim:
-        if external_vecs is None or external_vecs.shape != (n, config.external_vec_dim):
-            raise ValueError(f"external vectors must have shape ({n}, {config.external_vec_dim})")
     if n == 0:
         return [], None
 
@@ -211,12 +204,7 @@ def token_reps(sentence: Sentence, external_vecs: np.ndarray | None,
         h, c = ad.lstm_cell(tape, p["lstm_bw_W"], p["lstm_bw_b"], t_vecs[i], h, c)
         bwd[i] = h
 
-    c_vecs = []
-    for i in range(n):
-        parts = [fwd[i], bwd[i]]
-        if config.external_vec_dim:
-            parts.append(ad.leaf(external_vecs[i]))
-        c_vecs.append(ad.concat(tape, parts))
+    c_vecs = [ad.concat(tape, [fwd[i], bwd[i]]) for i in range(n)]
     return c_vecs, ad.stack_rows(tape, c_vecs)
 
 
@@ -302,11 +290,6 @@ def encode_parser_state(tape: Tape, params: ScorerParams, config: ScorerConfig,
     return ad.concat(tape, parts)
 
 
-def action_distribution(feature_logits: np.ndarray, valid_idx: list[int]) -> np.ndarray:
-    """Probabilities over the full action inventory, invalid entries exactly 0."""
-    return ad.masked_softmax(feature_logits, valid_idx)
-
-
 def _advance_neural(tape: Tape, params: ScorerParams, config: ScorerConfig,
                     neural: _NeuralState, action: Action, action_idx: int,
                     buffer_pos: int, c_vecs: list[Tensor]) -> _NeuralState:
@@ -348,8 +331,7 @@ def _advance_neural(tape: Tape, params: ScorerParams, config: ScorerConfig,
 
 def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
              config: ScorerConfig, tape: Tape,
-             gold_actions: list[Action] | None = None,
-             external_vecs: np.ndarray | None = None):
+             gold_actions: list[Action] | None = None):
     """Run the parser; teacher-forced when gold_actions is given, else greedy.
 
     Returns (loss Tensor, final symbolic state).
@@ -359,7 +341,7 @@ def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
     actions = vocab.action_list()
     action_idx = {a: i for i, a in enumerate(actions)}
     budget = config.budget_multiplier * max(n, 1)
-    c_vecs, c_matrix = token_reps(sentence, external_vecs, params, vocab, config, tape)
+    c_vecs, c_matrix = token_reps(sentence, params, vocab, config, tape)
 
     state = initial_state(n)
     neural = _NeuralState()
@@ -382,9 +364,7 @@ def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
             gold_pos = valid_idx.index(action_idx[chosen])
             losses.append(ad.masked_nll(tape, logits, valid_idx, gold_pos))
         else:
-            masked = np.full(len(actions), -np.inf)
-            masked[valid_idx] = logits.data[valid_idx]
-            chosen = actions[int(np.argmax(masked))]
+            chosen = actions[valid_idx[int(np.argmax(logits.data[valid_idx]))]]
         neural = _advance_neural(tape, params, config, neural, chosen,
                                  action_idx[chosen], state.buffer_pos, c_vecs)
         state = apply_action(state, chosen, n, vocab.types, budget)
@@ -396,22 +376,20 @@ def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
 
 
 def sentence_loss(sentence: Sentence, gold_actions: list[Action],
-                  params: ScorerParams, vocab: Vocab, config: ScorerConfig,
-                  external_vecs: np.ndarray | None = None) -> tuple[Tensor, Tape]:
+                  params: ScorerParams, vocab: Vocab,
+                  config: ScorerConfig) -> tuple[Tensor, Tape]:
     """Sum of per-step NLL of gold actions under the valid-masked softmax."""
     tape = Tape()
     loss, _ = _rollout(sentence, params, vocab, config, tape,
-                       gold_actions=gold_actions, external_vecs=external_vecs)
+                       gold_actions=gold_actions)
     return loss, tape
 
 
 def predict(sentence: Sentence, params: ScorerParams, vocab: Vocab,
-            config: ScorerConfig,
-            external_vecs: np.ndarray | None = None) -> frozenset[Mention]:
+            config: ScorerConfig) -> frozenset[Mention]:
     """Greedy argmax rollout, decoded into the output mention set."""
     tape = Tape()
-    _, state = _rollout(sentence, params, vocab, config, tape,
-                        external_vecs=external_vecs)
+    _, state = _rollout(sentence, params, vocab, config, tape)
     return frozenset(state.outputs)
 
 
@@ -436,7 +414,6 @@ def sgd_step(params: ScorerParams, learning_rate: float) -> None:
 
 def train(corpus: Corpus, config: ScorerConfig,
           vocab: Vocab | None = None,
-          external_map: dict[int, np.ndarray] | None = None,
           dev_hook=None) -> tuple[ScorerParams, Vocab, dict]:
     """Teacher-forced SGD over oracle action sequences.
 
@@ -453,15 +430,14 @@ def train(corpus: Corpus, config: ScorerConfig,
     prepared = []
     skipped_nested = 0
     uncovered_total = 0
-    for i, sent in enumerate(corpus):
+    for sent in corpus:
         try:
             actions, uncovered = oracle(sent)
         except CorpusError:
             skipped_nested += 1
             continue
         uncovered_total += len(uncovered)
-        ext = external_map.get(i) if external_map else None
-        prepared.append((sent, actions, ext))
+        prepared.append((sent, actions))
 
     rng = np.random.default_rng(config.seed)
     losses_per_epoch = []
@@ -469,9 +445,8 @@ def train(corpus: Corpus, config: ScorerConfig,
         order = rng.permutation(len(prepared))
         total = 0.0
         for j in order:
-            sent, actions, ext = prepared[j]
-            loss, tape = sentence_loss(sent, actions, params, vocab, config,
-                                       external_vecs=ext)
+            sent, actions = prepared[j]
+            loss, tape = sentence_loss(sent, actions, params, vocab, config)
             backward(tape, loss)
             sgd_step(params, config.learning_rate)
             total += float(loss.data)
@@ -489,8 +464,7 @@ def train(corpus: Corpus, config: ScorerConfig,
 
 def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
                       config: ScorerConfig, epsilon: float = 1e-5,
-                      n_coords: int = 200, seed: int = 0,
-                      external_vecs: np.ndarray | None = None) -> float:
+                      n_coords: int = 200, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Samples n_coords coordinates with at least one from every parameter
@@ -501,13 +475,11 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     gold_actions, _ = oracle(sentence)
 
     def loss_value() -> float:
-        loss, _ = sentence_loss(sentence, gold_actions, params, vocab, config,
-                                external_vecs=external_vecs)
+        loss, _ = sentence_loss(sentence, gold_actions, params, vocab, config)
         return float(loss.data)
 
     params.zero_grad()
-    loss, tape = sentence_loss(sentence, gold_actions, params, vocab, config,
-                               external_vecs=external_vecs)
+    loss, tape = sentence_loss(sentence, gold_actions, params, vocab, config)
     backward(tape, loss)
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for name, t in params.t.items()}
@@ -541,11 +513,11 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints and external vectors
+# Checkpoints
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DNER"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str, params: ScorerParams, config: ScorerConfig,
@@ -595,23 +567,10 @@ def load_checkpoint(path: str) -> tuple[ScorerParams, ScorerConfig, Vocab]:
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             tensors[name] = data.astype(np.float64)
-    config = ScorerConfig(**meta["config"])
+    try:
+        config = ScorerConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise CorpusError(f"{path}: bad scorer config in checkpoint: {exc}") from exc
     vocab = Vocab(tuple(meta["words"]), tuple(meta["chars"]), tuple(meta["types"]))
     return ScorerParams(tensors), config, vocab
 
-
-def load_external_vectors(text: str) -> list[np.ndarray]:
-    """Per-sentence matrices: one line of floats per token, blank line between
-    sentences, aligned with the inline corpus file."""
-    matrices = []
-    block: list[list[float]] = []
-    for line in text.split("\n"):
-        if line.strip() == "":
-            if block:
-                matrices.append(np.asarray(block, dtype=np.float64))
-                block = []
-        else:
-            block.append([float(x) for x in line.split()])
-    if block:
-        matrices.append(np.asarray(block, dtype=np.float64))
-    return matrices

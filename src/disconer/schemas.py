@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .corpus import CorpusError, Fragment, Mention, Sentence
+from .corpus import CorpusError, Fragment, Mention, Sentence, check_not_nested
 
 BIO_INDICATORS = ("B", "I", "O")
 BIOHD_INDICATORS = ("B", "I", "O", "BH", "IH", "BD", "ID")
@@ -131,7 +131,7 @@ def encode_biohd(sentence: Sentence) -> TagSequence:
     components (BD/ID); tokens of plain continuous mentions keep B/I. When
     a token could carry several classes the priority is BH > BD > B.
     """
-    _check_not_nested(sentence.mentions)
+    check_not_nested(sentence.mentions)
     return _encode_roles(sentence)
 
 
@@ -163,14 +163,6 @@ def _encode_roles(sentence: Sentence) -> TagSequence:
             ind = "I" if prev_same else "B"
         tags.append(Tag(ind, etype))
     return TagSequence(tuple(tags))
-
-
-def _check_not_nested(mentions) -> None:
-    sets = [m.token_set() for m in mentions]
-    for i in range(len(sets)):
-        for j in range(len(sets)):
-            if i != j and sets[i] < sets[j]:
-                raise CorpusError("nested mentions cannot be BIOHD-encoded")
 
 
 def _segments(tags: TagSequence) -> list[tuple[str, Fragment, str]]:

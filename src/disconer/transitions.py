@@ -11,10 +11,11 @@ state, so per-sentence rollouts can run in parallel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import CorpusError, Fragment, Mention, Sentence, canonicalize
+from .corpus import (CorpusError, Fragment, Mention, Sentence, canonicalize,
+                     check_not_nested)
 
 # Actions beyond the step budget are restricted to COMPLETE while the stack
 # is nonempty; a learned policy could otherwise loop on LEFT/RIGHT-REDUCE.
@@ -70,7 +71,6 @@ class Span:
     """A (possibly discontinuous) partial span sitting on the stack."""
 
     fragments: tuple[Fragment, ...]
-    id: int = 0
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,7 @@ class ParserState:
     buffer_pos: int = 0
     stack: tuple[Span, ...] = ()
     outputs: tuple[Mention, ...] = ()
-    history: tuple[Action, ...] = ()
-    next_span_id: int = 0
-
-    @property
-    def step_count(self) -> int:
-        return len(self.history)
+    step_count: int = 0
 
 
 def initial_state(sentence_len: int) -> ParserState:
@@ -134,29 +129,27 @@ def apply(state: ParserState, action: Action, sentence_len: int,
     """Apply one action, returning the successor state."""
     if action not in valid_actions(state, sentence_len, type_set, budget):
         raise InvalidActionError(action, state.step_count)
-    history = state.history + (action,)
+    steps = state.step_count + 1
     kind = action.kind
     if kind is ActionKind.SHIFT:
-        span = Span((Fragment(state.buffer_pos, state.buffer_pos + 1),), state.next_span_id)
+        span = Span((Fragment(state.buffer_pos, state.buffer_pos + 1),))
         return ParserState(state.buffer_pos + 1, state.stack + (span,),
-                           state.outputs, history, state.next_span_id + 1)
+                           state.outputs, steps)
     if kind is ActionKind.OUT:
-        return ParserState(state.buffer_pos + 1, state.stack,
-                           state.outputs, history, state.next_span_id)
+        return ParserState(state.buffer_pos + 1, state.stack, state.outputs, steps)
     if kind is ActionKind.COMPLETE:
         top = state.stack[-1]
         mention = Mention(action.entity_type, top.fragments)
         return ParserState(state.buffer_pos, state.stack[:-1],
-                           state.outputs + (mention,), history, state.next_span_id)
+                           state.outputs + (mention,), steps)
     s0, s1 = state.stack[-1], state.stack[-2]
-    new_span = Span(canonicalize(s1.fragments + s0.fragments), state.next_span_id)
+    new_span = Span(canonicalize(s1.fragments + s0.fragments))
     below = state.stack[:-2]
     if kind is ActionKind.LEFT_REDUCE:
         below = below + (s1,)
     elif kind is ActionKind.RIGHT_REDUCE:
         below = below + (s0,)
-    return ParserState(state.buffer_pos, below + (new_span,),
-                       state.outputs, history, state.next_span_id + 1)
+    return ParserState(state.buffer_pos, below + (new_span,), state.outputs, steps)
 
 
 def decode(actions: list[Action], sentence_len: int,
@@ -207,14 +200,6 @@ def _is_fragment_run(frags: tuple[Fragment, ...], gold: tuple[Fragment, ...]) ->
     return False
 
 
-def _check_not_nested(mentions: tuple[Mention, ...]) -> None:
-    sets = [m.token_set() for m in mentions]
-    for i in range(len(sets)):
-        for j in range(len(sets)):
-            if i != j and sets[i] < sets[j]:
-                raise CorpusError(f"nested mentions: {mentions[i]} inside {mentions[j]}")
-
-
 def oracle(sentence: Sentence) -> tuple[list[Action], frozenset[Mention]]:
     """Derive the gold action sequence for a sentence.
 
@@ -222,15 +207,17 @@ def oracle(sentence: Sentence) -> tuple[list[Action], frozenset[Mention]]:
     otherwise. After each shift, reductions fire while the concatenation of
     the top two spans is a prefix of an unfinished gold mention; the kept
     variant is chosen when the lower (LEFT) or upper (RIGHT) span is still a
-    component run of another unfinished mention. COMPLETE fires whenever the
-    top span equals an unfinished gold mention and is not a proper prefix of
-    another one.
+    component run of another unfinished mention, unless the concatenation
+    is a prefix of that mention too: it then takes the span from the
+    concatenation, and a kept copy would be left over on the stack.
+    COMPLETE fires whenever the top span equals an unfinished gold mention
+    and is not a proper prefix of another one.
 
     Crossing compositions can leave underivable mentions: those are dropped
     and the scan restarts on the reduced gold set until the machine
     terminates cleanly. Dropped mentions come back as `uncovered`.
     """
-    _check_not_nested(sentence.mentions)
+    check_not_nested(sentence.mentions)
     n = len(sentence.tokens)
     gold = list(sentence.mentions)
     uncovered: set[Mention] = set()
@@ -254,8 +241,11 @@ def _oracle_pass(gold: list[Mention], n: int) -> tuple[list[Action], list[Mentio
     actions: list[Action] = []
     stack: list[tuple[Fragment, ...]] = []
 
-    def required_elsewhere(frags: tuple[Fragment, ...], target: Mention) -> bool:
+    def required_elsewhere(frags: tuple[Fragment, ...], target: Mention,
+                           combined: tuple[Fragment, ...]) -> bool:
+        # a mention that continues through `combined` gets frags from it
         return any(m is not target and _is_fragment_run(frags, m.fragments)
+                   and not _is_prefix(combined, m.fragments)
                    for m in unfinished)
 
     def completable(frags: tuple[Fragment, ...]) -> Mention | None:
@@ -289,10 +279,10 @@ def _oracle_pass(gold: list[Mention], n: int) -> tuple[list[Action], list[Mentio
                     break
                 target = reduce_target(combined)
                 if target is not None:
-                    if required_elsewhere(s1, target):
+                    if required_elsewhere(s1, target, combined):
                         actions.append(LEFT_REDUCE)
                         stack[-1:] = [combined]
-                    elif required_elsewhere(s0, target):
+                    elif required_elsewhere(s0, target, combined):
                         actions.append(RIGHT_REDUCE)
                         stack[-2:] = [s0, combined]
                     else:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -96,11 +97,55 @@ def test_convert_to_tags(workdir):
 
 
 def test_unknown_config_key(workdir):
-    (workdir / "bad.cfg").write_text("bogus = 1\n")
-    out = run_cli("--config", "bad.cfg", "train", "--train", "train.txt",
-                  "--checkpoint", "m.bin", cwd=workdir)
+    # the last four were accepted once and are rejected since their removal
+    for key in ("bogus", "external_vectors", "test_corpus", "report",
+                "external_vec_dim"):
+        (workdir / "bad.cfg").write_text(f"{key} = 1\n")
+        out = run_cli("--config", "bad.cfg", "train", "--train", "train.txt",
+                      "--checkpoint", "m.bin", cwd=workdir)
+        assert out.returncode == 1, key
+        assert f"unknown config key {key!r}" in out.stderr
+
+
+def _config_line(stdout: str) -> dict:
+    line = next(l for l in stdout.splitlines() if l.startswith("config: "))
+    return json.loads(line[len("config: "):])
+
+
+def test_config_seed_kept_without_seed_flag(workdir):
+    (workdir / "seed.cfg").write_text("seed = 7\nepochs = 1\n")
+    out = run_cli("--config", "seed.cfg", "train", "--train", "dev.txt",
+                  "--checkpoint", "seed.bin", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert _config_line(out.stdout)["seed"] == 7
+    out = run_cli("--config", "seed.cfg", "--seed", "3", "train", "--train",
+                  "dev.txt", "--checkpoint", "seed.bin", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert _config_line(out.stdout)["seed"] == 3
+
+
+def test_format_tags_refused(workdir):
+    out = run_cli("--format", "tags", "stats", "train.txt", cwd=workdir)
+    assert out.returncode == 2
+    assert "invalid choice: 'tags'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def _write_checkpoint_header(path, version: int, config: dict) -> None:
+    meta = json.dumps({"config": config, "words": ["<unk>"], "chars": ["<unk>"],
+                       "types": ["ENT"]}).encode("utf-8")
+    path.write_bytes(b"DNER" + struct.pack("<II", version, len(meta)) + meta
+                     + struct.pack("<I", 0))
+
+
+def test_checkpoint_unknown_config_key(workdir):
+    _write_checkpoint_header(workdir / "odd.bin", 2, {"external_vec_dim": 0})
+    out = run_cli("predict", "test.txt", "odd_pred.txt", "--checkpoint", "odd.bin",
+                  cwd=workdir)
     assert out.returncode == 1
-    assert "unknown config key" in out.stderr
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "external_vec_dim" in lines[0]
 
 
 def test_train_predict_evaluate_pipeline(workdir):

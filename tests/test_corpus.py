@@ -169,6 +169,18 @@ def test_parse_standoff_skips_bad_offsets_with_warning():
     assert len(warnings) == 1 and "skipped" in warnings[0]
 
 
+def test_parse_standoff_skips_overlapping_fragments_with_warning():
+    text = "muscle pain and fatigue"
+    ann = ("T1\tADR 0 11;7 15\tmuscle pain pain and\n"
+           "T2\tADR 0 6;16 23\tmuscle fatigue\n")
+    corpus, warnings = parse_standoff(text, ann)
+    assert corpus.sentences[0].mentions == (
+        Mention("ADR", (Fragment(0, 1), Fragment(3, 4))),)
+    assert len(warnings) == 1
+    assert warnings[0].startswith("T1:") and "overlap" in warnings[0]
+    assert "skipped" in warnings[0]
+
+
 def test_parse_standoff_punctuation_tokens():
     text = "pain, fatigue."
     ann = "T1\tADR 0 4\tpain\n"

@@ -1,17 +1,20 @@
 """Tests for the autodiff engine and the neural transition scorer."""
 
+import importlib.util
 import os
+import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from disconer import autodiff as ad
-from disconer.corpus import Fragment, Mention, Sentence
-from disconer.neural import (ScorerConfig, ScorerParams, Vocab,
-                             action_distribution, attend, compose,
-                             finite_diff_check, init_params, load_checkpoint,
-                             load_external_vectors, predict, save_checkpoint,
+from disconer import neural
+from disconer.corpus import CorpusError, Fragment, Mention, Sentence
+from disconer.neural import (ScorerConfig, ScorerParams, Vocab, attend,
+                             compose, finite_diff_check, init_params,
+                             load_checkpoint, predict, save_checkpoint,
                              sentence_loss, sgd_step, stack_pop, stack_push,
                              token_reps, train)
 from disconer.synth import make_corpus
@@ -114,10 +117,10 @@ def test_attend_single_row_returns_row():
 
 def test_masked_softmax_properties():
     logits = np.array([1.0, 5.0, 2.0, -1.0])
-    dist = action_distribution(logits, [0, 2])
+    dist = ad.masked_softmax(logits, [0, 2])
     assert dist[1] == 0.0 and dist[3] == 0.0
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-    only = action_distribution(logits, [3])
+    only = ad.masked_softmax(logits, [3])
     assert only[3] == 1.0
 
 
@@ -152,9 +155,11 @@ def test_config_validation():
         ScorerConfig(char_cnn_window=2)
     with pytest.raises(ValueError):
         ScorerConfig(hidden_dim=0)
-    cfg = ScorerConfig(hidden_dim=8, external_vec_dim=3)
-    assert cfg.rep_dim == 19
-    assert cfg.feature_dim == 3 * cfg.stack_dim + 3 * 19 + cfg.action_dim
+    cfg = ScorerConfig(hidden_dim=8)
+    assert cfg.rep_dim == 16
+    assert cfg.feature_dim == 3 * cfg.stack_dim + 3 * 16 + cfg.action_dim
+    with pytest.raises(TypeError):
+        ScorerConfig(external_vec_dim=3)
 
 
 def test_vocab_unk_handling():
@@ -177,22 +182,10 @@ def test_token_reps_shapes():
     params = init_params(CONFIG, VOCAB)
     s = CORPUS.sentences[0]
     tape = ad.Tape()
-    vecs, matrix = token_reps(s, None, params, VOCAB, CONFIG, tape)
+    vecs, matrix = token_reps(s, params, VOCAB, CONFIG, tape)
     assert len(vecs) == len(s.tokens)
     assert all(v.data.shape == (CONFIG.rep_dim,) for v in vecs)
     assert matrix.data.shape == (len(s.tokens), CONFIG.rep_dim)
-
-
-def test_token_reps_external_vec_shape_check():
-    cfg = ScorerConfig(word_dim=6, char_dim=4, char_filters=4, hidden_dim=5,
-                       stack_dim=5, action_dim=4, external_vec_dim=2)
-    params = init_params(cfg, VOCAB)
-    s = CORPUS.sentences[0]
-    with pytest.raises(ValueError):
-        token_reps(s, np.zeros((1, 2)), params, VOCAB, cfg, ad.Tape())
-    vecs, _ = token_reps(s, np.zeros((len(s.tokens), 2)), params, VOCAB, cfg,
-                         ad.Tape())
-    assert vecs[0].data.shape == (cfg.rep_dim,)
 
 
 def test_stack_push_pop_exact_restore():
@@ -299,6 +292,17 @@ def test_checkpoint_round_trip():
         os.remove(path)
 
 
+def test_checkpoint_rejects_version_1():
+    path = tempfile.mktemp()
+    with open(path, "wb") as fh:
+        fh.write(b"DNER" + struct.pack("<I", 1) + b"\x00" * 16)
+    try:
+        with pytest.raises(CorpusError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+    finally:
+        os.remove(path)
+
+
 def test_checkpoint_rejects_bad_magic():
     path = tempfile.mktemp()
     with open(path, "wb") as fh:
@@ -310,9 +314,31 @@ def test_checkpoint_rejects_bad_magic():
         os.remove(path)
 
 
-def test_load_external_vectors():
-    text = "1.0 2.0\n3.0 4.0\n\n5.0 6.0\n"
-    mats = load_external_vectors(text)
-    assert len(mats) == 2
-    assert mats[0].shape == (2, 2) and mats[1].shape == (1, 2)
-    assert mats[1][0, 1] == 6.0
+def test_bench_tracer_hooks_resolve():
+    """The benchmark's traced run wraps functions of the library by name; a
+    renamed or deleted hook must fail here, not only in the benchmark."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    original = neural.token_reps
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        s = next(s for s in CORPUS if s.mentions)
+        actions, _ = oracle(s)
+        params = init_params(CONFIG, VOCAB)
+        loss, tape = neural.sentence_loss(s, actions, params, VOCAB, CONFIG)
+        neural.backward(tape, loss)
+        tracer.active = False
+        tracer.close_all()
+    finally:
+        tracer.uninstall()
+    assert neural.token_reps is original
+    names = {tracer.names[span[0]] for span in tracer.spans}
+    assert {"neural.token_reps", "neural.encode_parser_state", "neural.advance",
+            "neural.stack_push", "autodiff.masked_nll", "autodiff.backward",
+            "autodiff.lstm_cell.bilstm.bwd"} <= names
+    assert tracer.tapes == [tape]
+    assert tracer.counts["transitions.apply"] == len(actions)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disconer.corpus import CorpusError, Fragment, Mention, Sentence
 from disconer.synth import make_corpus, make_sentence
@@ -232,3 +234,39 @@ def test_random_rollouts_always_terminate():
             state = apply(state, va[int(rng.integers(len(va)))], n, types, budget)
             steps += 1
             assert steps < budget + 4 * n + 8
+
+
+@st.composite
+def non_nested_sentences(draw):
+    """A sentence with an arbitrary set of mutually non-nested mentions."""
+    n = draw(st.integers(1, 9))
+    mentions: list[Mention] = []
+    for _ in range(draw(st.integers(0, 5))):
+        tokens = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        m = Mention(draw(st.sampled_from("AB")),
+                    tuple(Fragment(t, t + 1) for t in tokens))
+        ts = m.token_set()
+        if m not in mentions and not any(ts < o.token_set() or o.token_set() < ts
+                                         for o in mentions):
+            mentions.append(m)
+    return Sentence(tuple(f"w{i}" for i in range(n)), tuple(mentions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_nested_sentences())
+# a LEFT-REDUCE once kept "w0" for B although B takes it from "w0 w2"
+@example(Sentence(("w0", "w1", "w2", "w3", "w4"),
+                  (Mention("A", (Fragment(0, 1), Fragment(2, 4))),
+                   Mention("A", (Fragment(0, 1), Fragment(2, 3), Fragment(4, 5))))))
+def test_oracle_decode_round_trip_on_arbitrary_mentions(s):
+    actions, uncovered = oracle(s)
+    n = len(s.tokens)
+    assert uncovered <= frozenset(s.mentions)
+    assert decode(actions, n) == frozenset(s.mentions) - uncovered
+    types = sorted({m.entity_type for m in s.mentions})
+    budget = max(len(actions) + 1, 8 * max(n, 1))
+    state = initial_state(n)
+    for a in actions:
+        state = apply(state, a, n, types, budget)
+    assert is_terminal(state, n)
+    assert state.step_count == len(actions)
