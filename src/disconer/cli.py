@@ -19,6 +19,8 @@ from .corpus import Corpus, CorpusError, ResampleMode
 
 CONFIG_PATH_KEYS = ("train_corpus", "dev_corpus", "checkpoint")
 SCORER_FIELDS = {f.name: f.type for f in dataclasses.fields(neural.ScorerConfig)}
+BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -45,11 +47,17 @@ def build_scorer_config(values: dict[str, str], seed: int | None) -> neural.Scor
             continue
         raw = values[name]
         if "bool" in str(typ):
-            kwargs[name] = raw.lower() in ("1", "true", "yes", "on")
-        elif "float" in str(typ):
-            kwargs[name] = float(raw)
-        else:
-            kwargs[name] = int(raw)
+            if raw.lower() not in BOOL_VALUES:
+                raise CorpusError(f"config key {name!r}: expected one of "
+                                  f"{'/'.join(BOOL_VALUES)}, got {raw!r}")
+            kwargs[name] = BOOL_VALUES[raw.lower()]
+            continue
+        parse = float if "float" in str(typ) else int
+        try:
+            kwargs[name] = parse(raw)
+        except ValueError:
+            raise CorpusError(f"config key {name!r}: expected {parse.__name__}, "
+                              f"got {raw!r}") from None
     if seed is not None:
         kwargs["seed"] = seed
     return neural.ScorerConfig(**kwargs)
@@ -287,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, FileNotFoundError, ValueError) as exc:
+    except (CorpusError, OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -290,8 +290,10 @@ def parse_standoff(text_file: str, ann_file: str,
         etype = head[0]
         try:
             offsets = [tuple(int(x) for x in pair.split()) for pair in " ".join(head[1:]).split(";")]
-        except ValueError as exc:
-            raise CorpusError(f"malformed offsets in {line!r}", line=lineno) from exc
+        except ValueError:
+            offsets = []
+        if not offsets or any(len(pair) != 2 for pair in offsets):
+            raise CorpusError(f"malformed offsets in {line!r}", line=lineno)
         frags = []
         sent_ids = set()
         ok = True

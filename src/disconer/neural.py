@@ -14,8 +14,12 @@ per-sentence SGD with teacher forcing on oracle action sequences.
 
 from __future__ import annotations
 
+import json
+import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,15 +47,19 @@ class ScorerConfig:
     learning_rate: float = 0.1
     epochs: int = 30
     seed: int = 0
-    budget_multiplier: int = 8
+    # not a setting: a bound on steps per token that the benchmark checks;
+    # every rollout ends within 4n - 1 steps, under 8n
+    budget_multiplier: ClassVar[int] = 8
 
     def __post_init__(self):
         for name in ("word_dim", "char_dim", "char_cnn_window", "char_filters",
-                     "hidden_dim", "stack_dim", "action_dim"):
+                     "hidden_dim", "stack_dim", "action_dim", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.char_cnn_window % 2 == 0:
             raise ValueError("char_cnn_window must be odd")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
 
     @property
     def rep_dim(self) -> int:
@@ -340,22 +348,20 @@ def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
     n = len(sentence.tokens)
     actions = vocab.action_list()
     action_idx = {a: i for i, a in enumerate(actions)}
-    budget = config.budget_multiplier * max(n, 1)
     c_vecs, c_matrix = token_reps(sentence, params, vocab, config, tape)
 
     state = initial_state(n)
     neural = _NeuralState()
     losses: list[Tensor] = []
-    step = 0
-    hard_cap = budget + 3 * n + 8
     while not is_terminal(state, n):
-        valid = valid_actions(state, n, vocab.types, budget)
+        valid = valid_actions(state, n, vocab.types)
         valid_idx = sorted(action_idx[a] for a in valid)
         buffer_matrix = (ad.rows_slice(tape, c_matrix, state.buffer_pos, n)
                          if c_matrix is not None and state.buffer_pos < n else None)
         feat = encode_parser_state(tape, params, config, neural, buffer_matrix)
         logits = ad.affine(tape, p["out_W"], feat, p["out_b"])
         if gold_actions is not None:
+            step = state.step_count
             if step >= len(gold_actions):
                 raise CorpusError("gold action sequence ends before the terminal state")
             chosen = gold_actions[step]
@@ -367,10 +373,7 @@ def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
             chosen = actions[valid_idx[int(np.argmax(logits.data[valid_idx]))]]
         neural = _advance_neural(tape, params, config, neural, chosen,
                                  action_idx[chosen], state.buffer_pos, c_vecs)
-        state = apply_action(state, chosen, n, vocab.types, budget)
-        step += 1
-        if step > hard_cap:
-            raise RuntimeError(f"rollout exceeded {hard_cap} steps")
+        state = apply_action(state, chosen, n, vocab.types)
     loss = ad.add_n(tape, losses) if losses else tape._node(np.asarray(0.0), None)
     return loss, state
 
@@ -517,60 +520,74 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DNER"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path: str, params: ScorerParams, config: ScorerConfig,
                     vocab: Vocab) -> None:
-    """Versioned binary container: magic, version, metadata, named tensors."""
+    """Versioned binary container: magic, version, metadata, named tensors,
+    then a CRC-32 of all the bytes before it."""
     meta = {"config": asdict(config),
             "words": list(vocab.words), "chars": list(vocab.chars),
             "types": list(vocab.types)}
-    import json
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    tensors = params.arrays()
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
+             meta_bytes, struct.pack("<I", len(tensors))]
+    for name in sorted(tensors):
+        arr = tensors[name]
+        name_b = name.encode("utf-8")
+        parts += [struct.pack("<H", len(name_b)), name_b, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        tensors = params.arrays()
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = tensors[name]
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.astype("<f8").tobytes())
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path: str) -> tuple[ScorerParams, ScorerConfig, Vocab]:
-    import json
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CorpusError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CorpusError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_tensors,) = struct.unpack("<I", fh.read(4))
+        data = fh.read()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise CorpusError(f"{path}: not a checkpoint file (bad magic {data[:4]!r})")
+    if len(data) < 8:
+        raise CorpusError(f"{path}: checkpoint truncated at byte {len(data)}")
+    (version,) = struct.unpack_from("<I", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise CorpusError(f"{path}: unsupported checkpoint version {version}")
+    body = data[:-4]
+    if len(data) < 12 or struct.unpack_from("<I", data, len(body))[0] != zlib.crc32(body):
+        raise CorpusError(f"{path}: checkpoint checksum mismatch (truncated or corrupt file)")
+    pos = 8
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(body):
+            raise CorpusError(f"{path}: checkpoint truncated at byte {len(body)}, "
+                              f"needs {pos + size}")
+        pos += size
+        return body[pos - size:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    try:
+        meta = json.loads(take(unpack("<I")[0]).decode("utf-8"))
         tensors = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            tensors[name] = data.astype(np.float64)
+        for _ in range(unpack("<I")[0]):
+            name = take(unpack("<H")[0]).decode("utf-8")
+            shape = unpack(f"<{unpack('<B')[0]}Q")
+            arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+            tensors[name] = arr.reshape(shape).astype(np.float64)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorpusError(f"{path}: bad checkpoint metadata: {exc}") from exc
+    if pos != len(body):
+        raise CorpusError(f"{path}: {len(body) - pos} trailing bytes after the checkpoint")
     try:
         config = ScorerConfig(**meta["config"])
-    except (TypeError, ValueError) as exc:
-        raise CorpusError(f"{path}: bad scorer config in checkpoint: {exc}") from exc
-    vocab = Vocab(tuple(meta["words"]), tuple(meta["chars"]), tuple(meta["types"]))
+        vocab = Vocab(tuple(meta["words"]), tuple(meta["chars"]), tuple(meta["types"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusError(f"{path}: bad checkpoint metadata: {exc}") from exc
+    if {name: arr.shape for name, arr in tensors.items()} != _shapes(config, vocab):
+        raise CorpusError(f"{path}: checkpoint tensors do not match its config")
     return ScorerParams(tensors), config, vocab
-

@@ -5,7 +5,8 @@ COMPLETE-y emits the top stack span as a mention of type y, and the three
 reduce actions concatenate the top two spans (REDUCE pops both, LEFT-REDUCE
 keeps the lower span, RIGHT-REDUCE keeps the upper one, supporting mentions
 that share components). States are immutable values; apply returns a fresh
-state, so per-sentence rollouts can run in parallel.
+state, so per-sentence rollouts can run in parallel. Every rollout over n
+tokens ends within 4n - 1 actions, so no step limit is needed.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from enum import Enum
 
 from .corpus import (CorpusError, Fragment, Mention, Sentence, canonicalize,
                      check_not_nested)
-
-# Actions beyond the step budget are restricted to COMPLETE while the stack
-# is nonempty; a learned policy could otherwise loop on LEFT/RIGHT-REDUCE.
-DEFAULT_BUDGET_MULTIPLIER = 8
 
 
 class ActionKind(Enum):
@@ -67,16 +64,9 @@ def complete(entity_type: str) -> Action:
 
 
 @dataclass(frozen=True)
-class Span:
-    """A (possibly discontinuous) partial span sitting on the stack."""
-
-    fragments: tuple[Fragment, ...]
-
-
-@dataclass(frozen=True)
 class ParserState:
     buffer_pos: int = 0
-    stack: tuple[Span, ...] = ()
+    stack: tuple[tuple[Fragment, ...], ...] = ()  # canonical partial spans
     outputs: tuple[Mention, ...] = ()
     step_count: int = 0
 
@@ -92,24 +82,18 @@ def is_terminal(state: ParserState, sentence_len: int) -> bool:
 
 
 def valid_actions(state: ParserState, sentence_len: int,
-                  type_set: tuple[str, ...] | list[str],
-                  budget: int | None = None) -> set[Action]:
+                  type_set: tuple[str, ...] | list[str]) -> set[Action]:
     """The hard constraints: which actions may be taken from this state."""
-    if budget is None:
-        budget = DEFAULT_BUDGET_MULTIPLIER * max(sentence_len, 1)
     valid: set[Action] = set()
-    over_budget = state.step_count >= budget
     if state.stack:
         for t in type_set:
             valid.add(complete(t))
-        if over_budget:
-            return valid
         if len(state.stack) >= 2:
             # reduces only apply to disjoint spans: the concatenation of
             # overlapping fragments has no canonical form
             s0, s1 = state.stack[-1], state.stack[-2]
-            tokens0 = {t for f in s0.fragments for t in f.tokens()}
-            if all(t not in tokens0 for f in s1.fragments for t in f.tokens()):
+            tokens0 = {t for f in s0 for t in f.tokens()}
+            if all(t not in tokens0 for f in s1 for t in f.tokens()):
                 valid.update((REDUCE, LEFT_REDUCE, RIGHT_REDUCE))
     if state.buffer_pos < sentence_len:
         valid.update((SHIFT, OUT))
@@ -124,26 +108,24 @@ class InvalidActionError(ValueError):
 
 
 def apply(state: ParserState, action: Action, sentence_len: int,
-          type_set: tuple[str, ...] | list[str],
-          budget: int | None = None) -> ParserState:
+          type_set: tuple[str, ...] | list[str]) -> ParserState:
     """Apply one action, returning the successor state."""
-    if action not in valid_actions(state, sentence_len, type_set, budget):
+    if action not in valid_actions(state, sentence_len, type_set):
         raise InvalidActionError(action, state.step_count)
     steps = state.step_count + 1
     kind = action.kind
     if kind is ActionKind.SHIFT:
-        span = Span((Fragment(state.buffer_pos, state.buffer_pos + 1),))
+        span = (Fragment(state.buffer_pos, state.buffer_pos + 1),)
         return ParserState(state.buffer_pos + 1, state.stack + (span,),
                            state.outputs, steps)
     if kind is ActionKind.OUT:
         return ParserState(state.buffer_pos + 1, state.stack, state.outputs, steps)
     if kind is ActionKind.COMPLETE:
-        top = state.stack[-1]
-        mention = Mention(action.entity_type, top.fragments)
+        mention = Mention(action.entity_type, state.stack[-1])
         return ParserState(state.buffer_pos, state.stack[:-1],
                            state.outputs + (mention,), steps)
     s0, s1 = state.stack[-1], state.stack[-2]
-    new_span = Span(canonicalize(s1.fragments + s0.fragments))
+    new_span = canonicalize(s1 + s0)
     below = state.stack[:-2]
     if kind is ActionKind.LEFT_REDUCE:
         below = below + (s1,)
@@ -163,9 +145,8 @@ def decode(actions: list[Action], sentence_len: int,
     if type_set is None:
         type_set = sorted({a.entity_type for a in actions if a.entity_type})
     state = initial_state(sentence_len)
-    budget = max(len(actions) + 1, DEFAULT_BUDGET_MULTIPLIER * max(sentence_len, 1))
     for action in actions:
-        state = apply(state, action, sentence_len, type_set, budget)
+        state = apply(state, action, sentence_len, type_set)
     if not is_terminal(state, sentence_len):
         raise CorpusError("action sequence ends in a non-terminal state")
     return frozenset(state.outputs)
@@ -339,12 +320,11 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
     type_set = sorted({a.entity_type for a in actions if a.entity_type}
                       | {m.entity_type for m in sentence.mentions})
     state = initial_state(n)
-    budget = max(len(actions) + 1, DEFAULT_BUDGET_MULTIPLIER * max(n, 1))
     steps = []
     for i, action in enumerate(actions):
-        valid = valid_actions(state, n, type_set, budget)
+        valid = valid_actions(state, n, type_set)
         stack_strs = tuple(
-            " ".join(sentence.tokens[t] for f in span.fragments for t in f.tokens())
+            " ".join(sentence.tokens[t] for f in span for t in f.tokens())
             for span in state.stack)
         steps.append(TraceStep(
             step=i + 1,
@@ -353,7 +333,7 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
             valid=tuple(sorted(str(a) for a in valid)),
             chosen=str(action),
         ))
-        state = apply(state, action, n, type_set, budget)
+        state = apply(state, action, n, type_set)
     return TraceReport(tuple(steps))
 
 

@@ -75,14 +75,13 @@ def test_criterion_03_unambiguous_decoding_10k():
     ok = True
     for _ in range(10000):
         n = int(rng.integers(0, 8))
-        budget = 8 * max(n, 1)
         state = initial_state(n)
         actions = []
         while not is_terminal(state, n):
-            va = sorted(valid_actions(state, n, types, budget), key=str)
+            va = sorted(valid_actions(state, n, types), key=str)
             a = va[int(rng.integers(len(va)))]
             actions.append(a)
-            state = apply(state, a, n, types, budget)
+            state = apply(state, a, n, types)
         stepwise = frozenset(state.outputs)
         if decode(actions, n, types) != stepwise:
             ok = False

@@ -5,11 +5,13 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 import disconer
+from disconer import neural
 from disconer.corpus import parse_inline, write_inline
 from disconer.synth import make_corpus
 
@@ -97,14 +99,39 @@ def test_convert_to_tags(workdir):
 
 
 def test_unknown_config_key(workdir):
-    # the last four were accepted once and are rejected since their removal
+    # the last five were accepted once and are rejected since their removal
     for key in ("bogus", "external_vectors", "test_corpus", "report",
-                "external_vec_dim"):
+                "external_vec_dim", "budget_multiplier"):
         (workdir / "bad.cfg").write_text(f"{key} = 1\n")
         out = run_cli("--config", "bad.cfg", "train", "--train", "train.txt",
                       "--checkpoint", "m.bin", cwd=workdir)
         assert out.returncode == 1, key
         assert f"unknown config key {key!r}" in out.stderr
+
+
+def _one_error_line(out) -> str:
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith("error:"), out.stderr
+    return last
+
+
+def test_bad_config_value_is_one_error_line(workdir):
+    for key, value in (("attention", "ture"), ("attention", "2"), ("hidden_dim", "1.5"),
+                       ("epochs", "many"), ("learning_rate", "fast"), ("epochs", "0"),
+                       ("learning_rate", "0"), ("learning_rate", "nan")):
+        (workdir / "bad.cfg").write_text(f"{key} = {value}\n")
+        out = run_cli("--config", "bad.cfg", "train", "--train", "dev.txt",
+                      "--checkpoint", "bad.bin", cwd=workdir)
+        assert key in _one_error_line(out), (key, value)
+
+
+def test_diverging_training_is_one_error_line(workdir):
+    (workdir / "huge.cfg").write_text("learning_rate = 1e300\nepochs = 2\n")
+    out = run_cli("--config", "huge.cfg", "train", "--train", "dev.txt",
+                  "--checkpoint", "huge.bin", cwd=workdir)
+    assert "non-finite gradient" in _one_error_line(out)
 
 
 def _config_line(stdout: str) -> dict:
@@ -113,11 +140,12 @@ def _config_line(stdout: str) -> dict:
 
 
 def test_config_seed_kept_without_seed_flag(workdir):
-    (workdir / "seed.cfg").write_text("seed = 7\nepochs = 1\n")
+    (workdir / "seed.cfg").write_text("seed = 7\nepochs = 1\nattention = OFF\n")
     out = run_cli("--config", "seed.cfg", "train", "--train", "dev.txt",
                   "--checkpoint", "seed.bin", cwd=workdir)
     assert out.returncode == 0, out.stderr
     assert _config_line(out.stdout)["seed"] == 7
+    assert _config_line(out.stdout)["attention"] is False
     out = run_cli("--config", "seed.cfg", "--seed", "3", "train", "--train",
                   "dev.txt", "--checkpoint", "seed.bin", cwd=workdir)
     assert out.returncode == 0, out.stderr
@@ -134,18 +162,34 @@ def test_format_tags_refused(workdir):
 def _write_checkpoint_header(path, version: int, config: dict) -> None:
     meta = json.dumps({"config": config, "words": ["<unk>"], "chars": ["<unk>"],
                        "types": ["ENT"]}).encode("utf-8")
-    path.write_bytes(b"DNER" + struct.pack("<II", version, len(meta)) + meta
-                     + struct.pack("<I", 0))
+    body = (b"DNER" + struct.pack("<II", version, len(meta)) + meta
+            + struct.pack("<I", 0))
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_checkpoint_unknown_config_key(workdir):
-    _write_checkpoint_header(workdir / "odd.bin", 2, {"external_vec_dim": 0})
+    _write_checkpoint_header(workdir / "odd.bin", 3, {"external_vec_dim": 0})
     out = run_cli("predict", "test.txt", "odd_pred.txt", "--checkpoint", "odd.bin",
                   cwd=workdir)
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
     assert "external_vec_dim" in lines[0]
+
+
+def test_truncated_checkpoint_is_one_error_line(workdir):
+    config = neural.ScorerConfig(word_dim=2, char_dim=2, char_filters=2, hidden_dim=2,
+                                 stack_dim=2, action_dim=2)
+    vocab = neural.Vocab(("<unk>",), ("<unk>",), ("ENT",))
+    path = workdir / "cut.bin"
+    neural.save_checkpoint(str(path), neural.init_params(config, vocab), config, vocab)
+    data = path.read_bytes()
+    meta_end = 12 + struct.unpack_from("<I", data, 8)[0]
+    for size in (2, 40, meta_end + 2, len(data) - 3):
+        path.write_bytes(data[:size])
+        out = run_cli("predict", "test.txt", "cut_pred.txt", "--checkpoint", "cut.bin",
+                      cwd=workdir)
+        assert out.stderr.strip().splitlines() == [_one_error_line(out)]
 
 
 def test_train_predict_evaluate_pipeline(workdir):

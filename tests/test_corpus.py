@@ -1,14 +1,20 @@
 """Tests for the corpus data model, formats, stats, and transforms."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from disconer.cli import _line_boundaries
 from disconer.corpus import (Category, Corpus, CorpusError, Fragment, Mention,
                              ResampleMode, Sentence, canonicalize,
                              corpus_stats, flatten_for_flat_model,
                              overlap_category, parse_inline, parse_standoff,
                              resample, split, write_inline)
 from disconer.synth import make_corpus
+from strategies import non_nested_sentences
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +145,21 @@ def test_inline_round_trip():
     assert write_inline(parsed) == text
 
 
+INLINE_TOKENS = st.text(st.characters(exclude_characters=" \n"), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(non_nested_sentences(),
+                          st.lists(INLINE_TOKENS, min_size=9, max_size=9)), max_size=4))
+def test_inline_round_trip_on_arbitrary_sentences(drawn):
+    corpus = Corpus(tuple(
+        Sentence(tuple(words[:len(s.tokens)]),
+                 tuple(sorted(s.mentions, key=lambda m: (m.fragments, m.entity_type))),
+                 f"doc{i:04d}", i)
+        for i, (s, words) in enumerate(drawn)))
+    assert parse_inline(write_inline(corpus)) == corpus
+
+
 def test_parse_inline_errors_carry_line_numbers():
     with pytest.raises(CorpusError, match="line 2"):
         parse_inline("a b\nnot-a-mention X\n")
@@ -196,6 +217,30 @@ def test_parse_standoff_cross_sentence_skipped():
     corpus, warnings = parse_standoff(text, ann, bounds)
     assert all(not s.mentions for s in corpus)
     assert len(warnings) == 1
+
+
+@pytest.mark.parametrize("offsets", ["", " x", " 0", " 0 6 11", " 0 6;16", " 0 6;", " 0 6;;16 23"])
+def test_parse_standoff_malformed_offsets(offsets):
+    ann = f"T1\tADR 0 6\tmuscle\nT2\tADR{offsets}\tfatigue\n"
+    with pytest.raises(CorpusError, match="line 2: malformed offsets"):
+        parse_standoff("muscle pain and fatigue", ann)
+
+
+STANDOFF_TEXT = st.text(st.sampled_from("ab .,\n"), max_size=20)
+STANDOFF_LINE = st.one_of(
+    st.text(st.sampled_from("T1\tADR 0123;-x\n"), max_size=20),
+    st.builds(lambda kind, etype, offs, tail: f"{kind}\t{etype}{offs}{tail}",
+              st.sampled_from(["T1", "T2", "R1", "T"]), st.sampled_from(["ADR", "", "A B"]),
+              st.text(st.sampled_from(" ;0123456789-"), max_size=12),
+              st.sampled_from(["", "\tmention", "\t"])))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(STANDOFF_TEXT, st.lists(STANDOFF_LINE, max_size=4), st.booleans())
+def test_parse_standoff_fuzz_raises_only_corpus_errors(text, lines, by_line):
+    bounds = _line_boundaries(text) if by_line else None
+    with contextlib.suppress(CorpusError):
+        parse_standoff(text, "\n".join(lines), bounds)
 
 
 # ---------------------------------------------------------------------------

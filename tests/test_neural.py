@@ -4,10 +4,14 @@ import importlib.util
 import os
 import struct
 import tempfile
+import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disconer import autodiff as ad
 from disconer import neural
@@ -160,6 +164,15 @@ def test_config_validation():
     assert cfg.feature_dim == 3 * cfg.stack_dim + 3 * 16 + cfg.action_dim
     with pytest.raises(TypeError):
         ScorerConfig(external_vec_dim=3)
+    for bad in ({"epochs": 0}, {"learning_rate": 0.0}, {"learning_rate": -0.1},
+                {"learning_rate": float("inf")}, {"learning_rate": float("nan")}):
+        with pytest.raises(ValueError):
+            ScorerConfig(**bad)
+    # a bound the benchmark checks, not a setting
+    with pytest.raises(TypeError):
+        ScorerConfig(budget_multiplier=8)
+    assert ScorerConfig.budget_multiplier == 8
+    assert "budget_multiplier" not in asdict(cfg)
 
 
 def test_vocab_unk_handling():
@@ -294,11 +307,12 @@ def test_checkpoint_round_trip():
 
 def test_checkpoint_rejects_version_1():
     path = tempfile.mktemp()
-    with open(path, "wb") as fh:
-        fh.write(b"DNER" + struct.pack("<I", 1) + b"\x00" * 16)
     try:
-        with pytest.raises(CorpusError, match="unsupported checkpoint version 1"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            with open(path, "wb") as fh:
+                fh.write(b"DNER" + struct.pack("<I", version) + b"\x00" * 16)
+            with pytest.raises(CorpusError, match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(path)
     finally:
         os.remove(path)
 
@@ -312,6 +326,76 @@ def test_checkpoint_rejects_bad_magic():
             load_checkpoint(path)
     finally:
         os.remove(path)
+
+
+TINY_CONFIG = ScorerConfig(word_dim=1, char_dim=1, char_cnn_window=1, char_filters=1,
+                           hidden_dim=1, stack_dim=1, action_dim=1)
+TINY_VOCAB = Vocab(("<unk>", "a"), ("<unk>", "a"), ("T",))
+
+
+def _tiny_checkpoint(path: Path) -> bytes:
+    save_checkpoint(str(path), init_params(TINY_CONFIG, TINY_VOCAB), TINY_CONFIG, TINY_VOCAB)
+    return path.read_bytes()
+
+
+def _load_error(path: Path, data: bytes) -> str | None:
+    """The CorpusError message of loading `data`; None when it loads."""
+    path.write_bytes(data)
+    try:
+        load_checkpoint(str(path))
+    except CorpusError as exc:
+        return str(exc)
+    return None
+
+
+def test_checkpoint_truncated_or_flipped_is_corpus_error(tmp_path):
+    data = _tiny_checkpoint(tmp_path / "m.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    assert [size for size in range(len(data)) if _load_error(bad, data[:size]) is None] == []
+    flipped = [data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:] for i in range(len(data))]
+    assert [i for i, d in enumerate(flipped) if _load_error(bad, d) is None] == []
+    assert "checksum" in _load_error(bad, data[:-1])
+
+
+def test_checkpoint_length_checked_under_a_valid_checksum(tmp_path):
+    body = _tiny_checkpoint(tmp_path / "m.ckpt")[:-4]
+    bad = tmp_path / "bad.ckpt"
+
+    def with_crc(b: bytes) -> bytes:
+        return b + struct.pack("<I", zlib.crc32(b))
+
+    assert "truncated" in _load_error(bad, with_crc(body[:-3]))
+    assert "2 trailing bytes" in _load_error(bad, with_crc(body + b"\0\0"))
+    meta_len = struct.unpack_from("<I", body, 8)[0]
+    cut_meta = body[:8] + struct.pack("<I", meta_len - 1) + body[12:12 + meta_len - 1]
+    assert "bad checkpoint metadata" in _load_error(bad, with_crc(cut_meta))
+
+
+DIMS = st.integers(1, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.builds(ScorerConfig, word_dim=DIMS, char_dim=DIMS,
+                        char_cnn_window=st.sampled_from([1, 3, 5]), char_filters=DIMS,
+                        hidden_dim=DIMS, stack_dim=DIMS, action_dim=DIMS,
+                        attention=st.booleans(),
+                        learning_rate=st.floats(1e-6, 10.0),
+                        epochs=st.integers(1, 100), seed=st.integers(0, 2**63)),
+       words=st.lists(st.text(max_size=5), min_size=1, max_size=6, unique=True),
+       chars=st.lists(st.characters(), min_size=1, max_size=6, unique=True),
+       types=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
+       seed=st.integers(0, 1000))
+def test_checkpoint_round_trip_on_random_configs(config, words, chars, types, seed):
+    vocab = Vocab(tuple(words), tuple(chars), tuple(types))
+    params = init_params(config, vocab, seed)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ckpt")
+        save_checkpoint(path, params, config, vocab)
+        loaded, loaded_config, loaded_vocab = load_checkpoint(path)
+    assert loaded_config == config and loaded_vocab == vocab
+    assert sorted(loaded.names()) == sorted(params.names())
+    for name in params.names():
+        assert np.array_equal(params.t[name].data, loaded.t[name].data)
 
 
 def test_bench_tracer_hooks_resolve():

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from disconer.corpus import CorpusError, Fragment, Mention, Sentence
 from disconer.synth import make_corpus, make_sentence
@@ -14,6 +13,7 @@ from disconer.transitions import (Action, ActionKind, InvalidActionError,
                                   SHIFT, actions_from_line, actions_to_line,
                                   apply, complete, decode, initial_state,
                                   is_terminal, oracle, trace, valid_actions)
+from strategies import non_nested_sentences
 
 FIG2 = Sentence(("muscle", "pain", "and", "fatigue"),
                 (Mention("ADR", (Fragment(0, 2),)),
@@ -64,12 +64,12 @@ def test_reduce_invalid_on_overlapping_spans():
 def test_apply_semantics():
     types = ["ADR"]
     state = apply(initial_state(3), SHIFT, 3, types)
-    assert state.stack[-1].fragments == (Fragment(0, 1),)
+    assert state.stack[-1] == (Fragment(0, 1),)
     state = apply(state, OUT, 3, types)
     assert state.buffer_pos == 2
     state = apply(state, SHIFT, 3, types)
     state = apply(state, REDUCE, 3, types)
-    assert state.stack[-1].fragments == (Fragment(0, 1), Fragment(2, 3))
+    assert state.stack[-1] == (Fragment(0, 1), Fragment(2, 3))
     state = apply(state, complete("ADR"), 3, types)
     assert state.outputs == (Mention("ADR", (Fragment(0, 1), Fragment(2, 3))),)
     assert is_terminal(state, 3)
@@ -81,11 +81,9 @@ def test_left_and_right_reduce_keep_spans():
     for a in (SHIFT, OUT, SHIFT):
         s = apply(s, a, 4, types)
     left = apply(s, LEFT_REDUCE, 4, types)
-    assert [sp.fragments for sp in left.stack] == [
-        (Fragment(0, 1),), (Fragment(0, 1), Fragment(2, 3))]
+    assert left.stack == ((Fragment(0, 1),), (Fragment(0, 1), Fragment(2, 3)))
     right = apply(s, RIGHT_REDUCE, 4, types)
-    assert [sp.fragments for sp in right.stack] == [
-        (Fragment(2, 3),), (Fragment(0, 1), Fragment(2, 3))]
+    assert right.stack == ((Fragment(2, 3),), (Fragment(0, 1), Fragment(2, 3)))
 
 
 def test_invalid_action_raises_with_step():
@@ -94,12 +92,26 @@ def test_invalid_action_raises_with_step():
     assert exc.value.step == 0
 
 
-def test_budget_restricts_to_complete():
-    types = ["ADR"]
-    state = initial_state(2)
-    state = apply(state, SHIFT, 2, types, budget=1)
-    va = valid_actions(state, 2, types, budget=1)
-    assert va == {complete("ADR")}
+def test_longest_rollout_is_under_4n_steps():
+    """Every action sequence ends: SHIFT and OUT take n steps, REDUCE and
+    COMPLETE at most n, LEFT/RIGHT-REDUCE at most 2n - 1. Search every
+    reachable (buffer, stack) state for the longest path to a terminal one."""
+    types = ["A"]
+
+    def longest_from(state, n, memo, open_keys):
+        key = (state.buffer_pos, state.stack)
+        if key not in memo:
+            assert key not in open_keys, "an action sequence revisits a state"
+            open_keys.add(key)
+            memo[key] = max((1 + longest_from(apply(state, a, n, types), n, memo, open_keys)
+                             for a in valid_actions(state, n, types)), default=0)
+            open_keys.remove(key)
+        return memo[key]
+
+    for n in range(7):
+        longest = longest_from(initial_state(n), n, {}, set())
+        assert longest <= max(4 * n - 1, 0)
+        assert longest == (2 * n if n < 2 else 4 * n - 3)
 
 
 def test_decode_figure2_sequence():
@@ -126,8 +138,8 @@ def test_figure2_sequence_found_by_exhaustive_search():
             if frozenset(state.outputs) == FIG2_GOLD:
                 found.append(tuple(seq))
             return
-        for a in sorted(valid_actions(state, 4, types, budget=9), key=str):
-            dfs(apply(state, a, 4, types, budget=9), seq + [a])
+        for a in sorted(valid_actions(state, 4, types), key=str):
+            dfs(apply(state, a, 4, types), seq + [a])
 
     dfs(initial_state(4), [])
     oracle_actions, _ = oracle(FIG2)
@@ -227,29 +239,12 @@ def test_random_rollouts_always_terminate():
     for _ in range(200):
         n = int(rng.integers(0, 8))
         state = initial_state(n)
-        budget = 8 * max(n, 1)
         steps = 0
         while not is_terminal(state, n):
-            va = sorted(valid_actions(state, n, types, budget), key=str)
-            state = apply(state, va[int(rng.integers(len(va)))], n, types, budget)
+            va = sorted(valid_actions(state, n, types), key=str)
+            state = apply(state, va[int(rng.integers(len(va)))], n, types)
             steps += 1
-            assert steps < budget + 4 * n + 8
-
-
-@st.composite
-def non_nested_sentences(draw):
-    """A sentence with an arbitrary set of mutually non-nested mentions."""
-    n = draw(st.integers(1, 9))
-    mentions: list[Mention] = []
-    for _ in range(draw(st.integers(0, 5))):
-        tokens = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-        m = Mention(draw(st.sampled_from("AB")),
-                    tuple(Fragment(t, t + 1) for t in tokens))
-        ts = m.token_set()
-        if m not in mentions and not any(ts < o.token_set() or o.token_set() < ts
-                                         for o in mentions):
-            mentions.append(m)
-    return Sentence(tuple(f"w{i}" for i in range(n)), tuple(mentions))
+            assert steps < 4 * max(n, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,9 +259,8 @@ def test_oracle_decode_round_trip_on_arbitrary_mentions(s):
     assert uncovered <= frozenset(s.mentions)
     assert decode(actions, n) == frozenset(s.mentions) - uncovered
     types = sorted({m.entity_type for m in s.mentions})
-    budget = max(len(actions) + 1, 8 * max(n, 1))
     state = initial_state(n)
     for a in actions:
-        state = apply(state, a, n, types, budget)
+        state = apply(state, a, n, types)
     assert is_terminal(state, n)
     assert state.step_count == len(actions)
