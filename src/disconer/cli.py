@@ -69,22 +69,12 @@ def read_corpus(path: str, fmt: str) -> Corpus:
             text = fh.read()
         with open(path + ".ann", encoding="utf-8") as fh:
             ann = fh.read()
-        corpus, warnings = corpus_mod.parse_standoff(text, ann, _line_boundaries(text))
+        corpus, warnings = corpus_mod.parse_standoff(text, ann)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         return corpus
     with open(path, encoding="utf-8") as fh:
         return corpus_mod.parse_inline(fh.read())
-
-
-def _line_boundaries(text: str) -> list[tuple[int, int]]:
-    """One sentence per line of the standoff text file."""
-    bounds = []
-    pos = 0
-    for line in text.split("\n"):
-        bounds.append((pos, pos + len(line)))
-        pos += len(line) + 1
-    return [b for b in bounds if text[b[0]:b[1]].strip()]
 
 
 def write_corpus(corpus: Corpus, path: str, fmt: str) -> None:
@@ -223,7 +213,7 @@ def cmd_predict(args) -> int:
         pred = neural.predict(sent, params, vocab, config)
         sentences.append(corpus_mod.Sentence(sent.tokens, tuple(sorted(
             pred, key=lambda m: (m.fragments, m.entity_type))),
-            sent.doc_id, sent.sent_index))
+            sent_index=sent.sent_index))
     write_corpus(Corpus(tuple(sentences)), args.output, "inline")
     return 0
 
@@ -231,6 +221,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     gold = read_corpus(args.gold, args.format)
     pred = read_corpus(args.pred, args.format)
+    # sentence counts are checked by evaluation.evaluate
+    for i, (g, p) in enumerate(zip(gold, pred)):
+        if g.tokens != p.tokens:
+            raise CorpusError(f"gold and pred tokens differ in sentence {i}")
     report = evaluation.evaluate([frozenset(s.mentions) for s in gold],
                                  [frozenset(s.mentions) for s in pred])
     print(report.to_text())

@@ -99,7 +99,6 @@ class Mention:
 class Sentence:
     tokens: tuple[str, ...]
     mentions: tuple[Mention, ...]
-    doc_id: str = ""
     sent_index: int = 0
 
     def __post_init__(self):
@@ -131,7 +130,6 @@ def check_not_nested(mentions: tuple[Mention, ...]) -> None:
 @dataclass(frozen=True)
 class Corpus:
     sentences: tuple[Sentence, ...]
-    split_name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
@@ -220,8 +218,7 @@ def parse_inline(text: str) -> Corpus:
                     frags.append(Fragment(int(s), int(e)))
                 mentions.append(Mention(match.group(2), tuple(frags)))
         try:
-            sentences.append(Sentence(tuple(tokens), tuple(mentions),
-                                      doc_id=f"doc{sent_index:04d}", sent_index=sent_index))
+            sentences.append(Sentence(tuple(tokens), tuple(mentions), sent_index=sent_index))
         except CorpusError as exc:
             raise CorpusError(str(exc), line=i + 1) from exc
         sent_index += 1
@@ -253,32 +250,33 @@ def _tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
     return [(m.group(0), m.start(), m.end()) for m in _PUNCT_SPLIT_RE.finditer(text)]
 
 
-def parse_standoff(text_file: str, ann_file: str,
-                   sentence_boundaries: list[tuple[int, int]] | None = None,
-                   doc_id: str = "") -> tuple[Corpus, list[str]]:
+def parse_standoff(text_file: str, ann_file: str) -> tuple[Corpus, list[str]]:
     """Parse a text + .ann standoff pair into a corpus.
 
-    Entity lines look like "T1\\tADR 0 6;16 23\\tmuscle fatigue" with
-    character offsets; discontinuous spans are separated by ";". Character
+    The text file holds one sentence per non-blank line. Entity lines look
+    like "T1\\tADR 0 6;16 23\\tmuscle fatigue" with character offsets into
+    the whole text; discontinuous spans are separated by ";". Character
     offsets are mapped to token indices. Mentions whose offsets do not land
     on token boundaries, which cross a sentence boundary, or whose fragments
     overlap, are skipped and reported in the returned warning list.
     """
-    if sentence_boundaries is None:
-        sentence_boundaries = [(0, len(text_file))]
     warnings: list[str] = []
     sent_tokens = []
-    for (s, e) in sentence_boundaries:
-        sent_tokens.append(_tokenize_with_offsets(text_file[s:e]))
     # char offset (global) -> (sentence index, token index) for starts/ends
     start_map: dict[int, tuple[int, int]] = {}
     end_map: dict[int, tuple[int, int]] = {}
-    for si, ((s, _), toks) in enumerate(zip(sentence_boundaries, sent_tokens)):
-        for ti, (_, ts, te) in enumerate(toks):
-            start_map[s + ts] = (si, ti)
-            end_map[s + te] = (si, ti + 1)
+    pos = 0
+    for line in text_file.split("\n"):
+        if line.strip():
+            si = len(sent_tokens)
+            toks = _tokenize_with_offsets(line)
+            for ti, (_, ts, te) in enumerate(toks):
+                start_map[pos + ts] = (si, ti)
+                end_map[pos + te] = (si, ti + 1)
+            sent_tokens.append(toks)
+        pos += len(line) + 1
 
-    sent_mentions: list[list[Mention]] = [[] for _ in sentence_boundaries]
+    sent_mentions: list[list[Mention]] = [[] for _ in sent_tokens]
     for lineno, raw in enumerate(ann_file.split("\n"), start=1):
         line = raw.rstrip()
         if not line or not line.startswith("T"):
@@ -326,7 +324,7 @@ def parse_standoff(text_file: str, ann_file: str,
     sentences = []
     for si, toks in enumerate(sent_tokens):
         sentences.append(Sentence(tuple(t for t, _, _ in toks), tuple(sent_mentions[si]),
-                                  doc_id=doc_id or "doc0000", sent_index=si))
+                                  sent_index=si))
     return Corpus(tuple(sentences)), warnings
 
 
@@ -422,35 +420,21 @@ def flatten_for_flat_model(corpus: Corpus) -> Corpus:
     """
     new_sentences = []
     for sent in corpus:
-        covers = [(Fragment(m.fragments[0].start, m.fragments[-1].end), m.entity_type)
-                  for m in sent.mentions]
-        # union-find over transitive overlaps of the covering intervals
-        parent = list(range(len(covers)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in range(len(covers)):
-            for b in range(a + 1, len(covers)):
-                fa, fb = covers[a][0], covers[b][0]
-                if fa.start < fb.end and fb.start < fa.end:
-                    parent[find(a)] = find(b)
-        groups: dict[int, list[int]] = {}
-        for i in range(len(covers)):
-            groups.setdefault(find(i), []).append(i)
-        merged = []
-        for members in groups.values():
-            start = min(covers[i][0].start for i in members)
-            end = max(covers[i][0].end for i in members)
-            types = [covers[i][1] for i in sorted(members, key=lambda i: covers[i][0])]
-            best = max(set(types), key=lambda t: (types.count(t), -types.index(t)))
-            merged.append(Mention(best, (Fragment(start, end),)))
-        merged.sort(key=lambda m: m.fragments)
-        new_sentences.append(Sentence(sent.tokens, tuple(merged), sent.doc_id, sent.sent_index))
-    return Corpus(tuple(new_sentences), corpus.split_name)
+        covers = sorted(((m.fragments[0].start, m.fragments[-1].end, m.entity_type)
+                         for m in sent.mentions), key=lambda c: c[:2])
+        groups: list[tuple[int, int, list[str]]] = []
+        for start, end, etype in covers:
+            if groups and start < groups[-1][1]:
+                g_start, g_end, types = groups[-1]
+                groups[-1] = (g_start, max(g_end, end), types + [etype])
+            else:
+                groups.append((start, end, [etype]))
+        merged = tuple(
+            Mention(max(set(types), key=lambda t: (types.count(t), -types.index(t))),
+                    (Fragment(start, end),))
+            for start, end, types in groups)
+        new_sentences.append(Sentence(sent.tokens, merged, sent_index=sent.sent_index))
+    return Corpus(tuple(new_sentences))
 
 
 class ResampleMode(Enum):
@@ -470,7 +454,7 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
     disc = [s for s in corpus if s.discontinuous_mentions()]
     rest = [s for s in corpus if not s.discontinuous_mentions()]
     if mode is ResampleMode.DISC_ONLY:
-        return Corpus(tuple(disc), corpus.split_name)
+        return Corpus(tuple(disc))
     if not disc:
         raise CorpusError("corpus has no discontinuous sentences; cannot balance")
     rng = np.random.default_rng(seed)
@@ -478,7 +462,7 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
         k = min(len(disc), len(rest))
         chosen_idx = sorted(rng.choice(len(rest), size=k, replace=False).tolist())
         kept = disc + [rest[i] for i in chosen_idx]
-        return Corpus(tuple(kept), corpus.split_name)
+        return Corpus(tuple(kept))
     if mode is ResampleMode.OVER_SAMPLE:
         out = list(rest)
         target = max(len(rest), len(disc))
@@ -487,31 +471,5 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
         while len(copies) < target:
             copies.append(disc[i % len(disc)])
             i += 1
-        return Corpus(tuple(copies + out), corpus.split_name)
+        return Corpus(tuple(copies + out))
     raise ValueError(f"unknown mode {mode}")
-
-
-def split(corpus: Corpus, train_frac: float, dev_frac: float,
-          seed: int) -> tuple[Corpus, Corpus, Corpus]:
-    """Document-level train/dev/test split, deterministic given the seed."""
-    if train_frac <= 0 or dev_frac <= 0 or train_frac + dev_frac >= 1:
-        raise CorpusError("fractions must be positive and sum to < 1")
-    docs: dict[str, list[Sentence]] = {}
-    for sent in corpus:
-        docs.setdefault(sent.doc_id, []).append(sent)
-    doc_ids = sorted(docs)
-    if len(doc_ids) < 3:
-        raise CorpusError("need at least 3 documents to split")
-    rng = np.random.default_rng(seed)
-    order = [doc_ids[i] for i in rng.permutation(len(doc_ids))]
-    n = len(order)
-    n_train = int(round(train_frac * n))
-    n_dev = int(round(dev_frac * n))
-    n_train = max(1, min(n_train, n - 2))
-    n_dev = max(1, min(n_dev, n - n_train - 1))
-    parts = (order[:n_train], order[n_train:n_train + n_dev], order[n_train + n_dev:])
-    result = []
-    for name, ids in zip(("train", "dev", "test"), parts):
-        sents = [s for d in sorted(ids) for s in docs[d]]
-        result.append(Corpus(tuple(sents), name))
-    return tuple(result)

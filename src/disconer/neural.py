@@ -405,12 +405,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def sgd_step(params: ScorerParams, learning_rate: float) -> None:
-    """params -= lr * grad; grads cleared. Aborts on non-finite gradients."""
-    for name, t in params.t.items():
-        if t.grad is None:
-            continue
+    """params -= lr * grad; grads cleared.
+
+    Every gradient is checked before any parameter changes, so a non-finite
+    gradient raises with all parameters as they were.
+    """
+    stepped = [(name, t) for name, t in params.t.items() if t.grad is not None]
+    for name, t in stepped:
         if not np.all(np.isfinite(t.grad)):
             raise FloatingPointError(f"non-finite gradient in {name}")
+    for _, t in stepped:
         t.data -= learning_rate * t.grad
         t.grad = None
 
@@ -444,18 +448,21 @@ def train(corpus: Corpus, config: ScorerConfig,
 
     rng = np.random.default_rng(config.seed)
     losses_per_epoch = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(prepared))
-        total = 0.0
-        for j in order:
-            sent, actions = prepared[j]
-            loss, tape = sentence_loss(sent, actions, params, vocab, config)
-            backward(tape, loss)
-            sgd_step(params, config.learning_rate)
-            total += float(loss.data)
-        losses_per_epoch.append(total / max(len(prepared), 1))
-        if dev_hook is not None:
-            dev_hook(epoch, params)
+    # A diverging run overflows in the forward pass before its gradients do;
+    # sgd_step's finite check reports it, so numpy's warnings are only noise.
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(prepared))
+            total = 0.0
+            for j in order:
+                sent, actions = prepared[j]
+                loss, tape = sentence_loss(sent, actions, params, vocab, config)
+                backward(tape, loss)
+                sgd_step(params, config.learning_rate)
+                total += float(loss.data)
+            losses_per_epoch.append(total / max(len(prepared), 1))
+            if dev_hook is not None:
+                dev_hook(epoch, params)
     info = {"skipped_nested": skipped_nested, "uncovered_dropped": uncovered_total,
             "epoch_losses": losses_per_epoch}
     return params, vocab, info

@@ -1,10 +1,11 @@
-"""Baseline tag-schema codecs: plain BIO and the BIOHD extension.
+"""Baseline tag-schema codec: BIOHD, the BIO extension for discontinuous mentions.
 
 BIOHD adds four position indicators on top of BIO: BH/IH mark components
 shared by two or more mentions, BD/ID mark the exclusive components of
-discontinuous mentions. Unlike the transition system, tag sequences do not
-decode uniquely; `ambiguity_witnesses` enumerates the distinct mention sets
-that encode to the same sequence.
+discontinuous mentions; flat BIO is BIOHD without H or D components.
+Unlike the transition system, tag sequences do not decode uniquely;
+`ambiguity_witnesses` enumerates the distinct mention sets that encode to
+the same sequence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import combinations
 
 from .corpus import CorpusError, Fragment, Mention, Sentence, check_not_nested
 
-BIO_INDICATORS = ("B", "I", "O")
 BIOHD_INDICATORS = ("B", "I", "O", "BH", "IH", "BD", "ID")
 
 
@@ -59,46 +59,6 @@ class TagSequence:
 
 def to_conll(sentence: Sentence, tags: TagSequence) -> str:
     return "\n".join(f"{tok}\t{tag}" for tok, tag in zip(sentence.tokens, tags.tags))
-
-
-# ---------------------------------------------------------------------------
-# Plain BIO
-# ---------------------------------------------------------------------------
-
-def encode_bio(sentence: Sentence) -> TagSequence:
-    """Standard BIO tags; only defined for continuous, disjoint mentions."""
-    tags = [O_TAG] * len(sentence.tokens)
-    covered: set[int] = set()
-    for m in sentence.mentions:
-        if m.is_discontinuous:
-            raise CorpusError(f"discontinuous mention {m} cannot be BIO-encoded")
-        frag = m.fragments[0]
-        if any(t in covered for t in frag.tokens()):
-            raise CorpusError(f"overlapping mention {m} cannot be BIO-encoded")
-        covered.update(frag.tokens())
-        tags[frag.start] = Tag("B", m.entity_type)
-        for t in range(frag.start + 1, frag.end):
-            tags[t] = Tag("I", m.entity_type)
-    return TagSequence(tuple(tags))
-
-
-def decode_bio(tags: TagSequence) -> frozenset[Mention]:
-    """Maximal B-I runs become mentions; orphan I is repaired as B."""
-    mentions = []
-    start = None
-    etype = ""
-    for i, tag in enumerate(list(tags.tags) + [O_TAG]):
-        continues = (tag.indicator in ("I", "IH", "ID") and start is not None
-                     and tag.entity_type == etype)
-        if continues:
-            continue
-        if start is not None:
-            mentions.append(Mention(etype, (Fragment(start, i),)))
-            start = None
-        if tag.indicator != "O":
-            start = i
-            etype = tag.entity_type
-    return frozenset(mentions)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +200,7 @@ def ambiguity_witnesses(tags: TagSequence, limit: int | None = 64) -> list[froze
         return [frozenset()] if all(t.indicator == "O" for t in tags.tags) else []
     # fast path: no H/D components means plain BIO, which decodes uniquely
     if all(cls == "C" for cls, _, _ in segs):
-        return [decode_bio(tags)]
+        return [decode_biohd(tags)]
 
     # candidate mentions: canonical combinations of up to 3 components
     candidates: list[Mention] = []

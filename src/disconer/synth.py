@@ -52,7 +52,7 @@ def _gap(rng: np.random.Generator, gap_range: tuple[int, int]) -> list[str]:
 
 def make_sentence(rng: np.random.Generator, kind: str,
                   gap_range: tuple[int, int] = (1, 2),
-                  doc_id: str = "", sent_index: int = 0,
+                  sent_index: int = 0,
                   pre_range: tuple[int, int] = (0, 2),
                   post_range: tuple[int, int] = (0, 2)) -> Sentence:
     """Build one sentence of the given template kind."""
@@ -132,19 +132,17 @@ def make_sentence(rng: np.random.Generator, kind: str,
 
     if kind != "empty":
         tokens.extend(post)
-    return Sentence(tuple(tokens), tuple(mentions), doc_id=doc_id, sent_index=sent_index)
+    return Sentence(tuple(tokens), tuple(mentions), sent_index=sent_index)
 
 
 def make_corpus(n: int, seed: int, weights: dict[str, float] | None = None,
                 gap_range: tuple[int, int] = (1, 2),
-                sentences_per_doc: int = 5, split_name: str = "",
                 pre_range: tuple[int, int] = (0, 2),
                 post_range: tuple[int, int] = (0, 2)) -> Corpus:
     """Generate a corpus of n sentences, deterministic given the seed.
 
     Distinct entity words are drawn per template so that duplicate mentions
-    cannot arise; sentences are grouped into documents of
-    `sentences_per_doc` for document-level splitting.
+    cannot arise.
     """
     weights = dict(DERIVABLE_WEIGHTS if weights is None else weights)
     kinds = [k for k in KINDS if weights.get(k, 0.0) > 0]
@@ -154,16 +152,6 @@ def make_corpus(n: int, seed: int, weights: dict[str, float] | None = None,
     sentences = []
     for i in range(n):
         kind = kinds[int(rng.choice(len(kinds), p=probs))]
-        for _ in range(100):
-            try:
-                sent = make_sentence(rng, kind, gap_range,
-                                     doc_id=f"doc{i // sentences_per_doc:04d}",
-                                     sent_index=i,
-                                     pre_range=pre_range, post_range=post_range)
-                break
-            except Exception:
-                continue  # duplicate mention draw; resample
-        else:
-            raise RuntimeError(f"could not generate a valid {kind} sentence")
-        sentences.append(sent)
-    return Corpus(tuple(sentences), split_name)
+        sentences.append(make_sentence(rng, kind, gap_range, sent_index=i,
+                                       pre_range=pre_range, post_range=post_range))
+    return Corpus(tuple(sentences))

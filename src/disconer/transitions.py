@@ -42,15 +42,6 @@ class Action:
             return f"COMPLETE:{self.entity_type}"
         return self.kind.value
 
-    @staticmethod
-    def parse(text: str) -> "Action":
-        if text.startswith("COMPLETE:"):
-            return Action(ActionKind.COMPLETE, text.split(":", 1)[1])
-        try:
-            return Action(ActionKind(text))
-        except ValueError as exc:
-            raise ValueError(f"unknown action {text!r}") from exc
-
 
 SHIFT = Action(ActionKind.SHIFT)
 OUT = Action(ActionKind.OUT)
@@ -335,11 +326,3 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
         ))
         state = apply(state, action, n, type_set)
     return TraceReport(tuple(steps))
-
-
-def actions_to_line(actions: list[Action]) -> str:
-    return " ".join(str(a) for a in actions)
-
-
-def actions_from_line(line: str) -> list[Action]:
-    return [Action.parse(tok) for tok in line.split()] if line.strip() else []

@@ -12,7 +12,7 @@ import pytest
 
 import disconer
 from disconer import neural
-from disconer.corpus import parse_inline, write_inline
+from disconer.corpus import Corpus, Sentence, parse_inline, write_inline
 from disconer.synth import make_corpus
 
 # The directory that holds the imported `disconer` package. It goes first on
@@ -132,6 +132,7 @@ def test_diverging_training_is_one_error_line(workdir):
     out = run_cli("--config", "huge.cfg", "train", "--train", "dev.txt",
                   "--checkpoint", "huge.bin", cwd=workdir)
     assert "non-finite gradient" in _one_error_line(out)
+    assert len(out.stderr.splitlines()) == 1, out.stderr
 
 
 def _config_line(stdout: str) -> dict:
@@ -215,6 +216,17 @@ def test_train_predict_evaluate_pipeline(workdir):
     data = json.loads((workdir / "report.json").read_text())
     assert set(data) == {"overall", "disc_sentences", "disc_only",
                          "by_category", "by_length"}
+
+
+def test_evaluate_refuses_different_tokens(workdir):
+    gold = parse_inline((workdir / "test.txt").read_text())
+    changed = Sentence(("x",) + gold.sentences[3].tokens[1:], gold.sentences[3].mentions)
+    pred = Corpus(gold.sentences[:3] + (changed,) + gold.sentences[4:])
+    (workdir / "other.txt").write_text(write_inline(pred))
+    out = run_cli("evaluate", "test.txt", "other.txt", cwd=workdir)
+    assert _one_error_line(out) == "error: gold and pred tokens differ in sentence 3"
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert out.stdout == ""
 
 
 def test_train_determinism(workdir):

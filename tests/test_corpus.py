@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disconer.cli import _line_boundaries
 from disconer.corpus import (Category, Corpus, CorpusError, Fragment, Mention,
                              ResampleMode, Sentence, canonicalize,
                              corpus_stats, flatten_for_flat_model,
                              overlap_category, parse_inline, parse_standoff,
-                             resample, split, write_inline)
+                             resample, write_inline)
 from disconer.synth import make_corpus
 from strategies import non_nested_sentences
 
@@ -155,7 +154,7 @@ def test_inline_round_trip_on_arbitrary_sentences(drawn):
     corpus = Corpus(tuple(
         Sentence(tuple(words[:len(s.tokens)]),
                  tuple(sorted(s.mentions, key=lambda m: (m.fragments, m.entity_type))),
-                 f"doc{i:04d}", i)
+                 sent_index=i)
         for i, (s, words) in enumerate(drawn)))
     assert parse_inline(write_inline(corpus)) == corpus
 
@@ -212,11 +211,24 @@ def test_parse_standoff_punctuation_tokens():
 
 def test_parse_standoff_cross_sentence_skipped():
     text = "muscle pain\nfatigue"
-    bounds = [(0, 11), (12, 19)]
     ann = "T1\tADR 7 19\tpain fatigue\n"
-    corpus, warnings = parse_standoff(text, ann, bounds)
+    corpus, warnings = parse_standoff(text, ann)
     assert all(not s.mentions for s in corpus)
     assert len(warnings) == 1
+
+
+def test_parse_standoff_one_sentence_per_non_blank_line():
+    text = "muscle pain\n\n  \nleg cramps and\tfatigue\n"
+    ann = "T1\tADR 0 11\tmuscle pain\nT2\tADR 16 19;31 38\tleg fatigue\n"
+    corpus, warnings = parse_standoff(text, ann)
+    assert warnings == []
+    assert [s.tokens for s in corpus] == [("muscle", "pain"),
+                                          ("leg", "cramps", "and", "fatigue")]
+    assert [s.sent_index for s in corpus] == [0, 1]
+    assert corpus.sentences[0].mentions == (Mention("ADR", (Fragment(0, 2),)),)
+    assert corpus.sentences[1].mentions == (
+        Mention("ADR", (Fragment(0, 1), Fragment(3, 4))),)
+    assert len(parse_standoff("\n \n", "")[0]) == 0
 
 
 @pytest.mark.parametrize("offsets", ["", " x", " 0", " 0 6 11", " 0 6;16", " 0 6;", " 0 6;;16 23"])
@@ -236,11 +248,10 @@ STANDOFF_LINE = st.one_of(
 
 
 @settings(max_examples=3000, deadline=None)
-@given(STANDOFF_TEXT, st.lists(STANDOFF_LINE, max_size=4), st.booleans())
-def test_parse_standoff_fuzz_raises_only_corpus_errors(text, lines, by_line):
-    bounds = _line_boundaries(text) if by_line else None
+@given(STANDOFF_TEXT, st.lists(STANDOFF_LINE, max_size=4))
+def test_parse_standoff_fuzz_raises_only_corpus_errors(text, lines):
     with contextlib.suppress(CorpusError):
-        parse_standoff(text, "\n".join(lines), bounds)
+        parse_standoff(text, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,42 @@ def test_flatten_majority_tie_goes_to_leftmost():
     assert m.entity_type == "A"
 
 
+@st.composite
+def mention_sets(draw):
+    """A sentence with arbitrary mentions: nested, overlapping or touching."""
+    n = draw(st.integers(1, 12))
+    mentions: list[Mention] = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        m = Mention(draw(st.sampled_from("AB")), tuple(Fragment(t, t + 1) for t in tokens))
+        if m not in mentions:
+            mentions.append(m)
+    return _sent(mentions, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mention_sets())
+def test_flatten_groups_overlapping_covers(s):
+    (flat,) = flatten_for_flat_model(Corpus((s,))).sentences
+    assert flat.tokens == s.tokens and flat.sent_index == s.sent_index
+    outs = [m.fragments[0] for m in flat.mentions]
+    assert all(len(m.fragments) == 1 for m in flat.mentions)
+    assert all(a.end <= b.start for a, b in zip(outs, outs[1:]))
+    # covers in input order, then stably sorted left to right
+    covers = sorted(((m.fragments[0].start, m.fragments[-1].end, m.entity_type)
+                     for m in s.mentions), key=lambda c: c[:2])
+    for start, end, _ in covers:
+        assert sum(o.start <= start and end <= o.end for o in outs) == 1
+    for out, m in zip(outs, flat.mentions):
+        inside = [c for c in covers if out.start <= c[0] and c[1] <= out.end]
+        assert set().union(*(range(a, b) for a, b, _ in inside)) == set(out.tokens())
+        # one group: no cut point inside the output that no cover straddles
+        assert all(any(a < p < b for a, b, _ in inside) for p in range(out.start + 1, out.end))
+        types = [t for _, _, t in inside]
+        best = max(types.count(t) for t in types)
+        assert m.entity_type == next(t for t in types if types.count(t) == best)
+
+
 def _mixed_corpus():
     disc = [_sent([Mention("T", (Fragment(0, 1), Fragment(3, 4)))])
             for _ in range(2)]
@@ -334,19 +381,3 @@ def test_resample_deterministic():
     a = resample(corpus, ResampleMode.UNDER_SAMPLE, seed=5)
     b = resample(corpus, ResampleMode.UNDER_SAMPLE, seed=5)
     assert a.sentences == b.sentences
-
-
-def test_split_is_document_level_and_deterministic():
-    corpus = make_corpus(100, seed=2)
-    train, dev, test = split(corpus, 0.7, 0.15, seed=3)
-    train2, _, _ = split(corpus, 0.7, 0.15, seed=3)
-    assert train.sentences == train2.sentences
-    docs = [set(s.doc_id for s in part) for part in (train, dev, test)]
-    assert not (docs[0] & docs[1]) and not (docs[0] & docs[2]) and not (docs[1] & docs[2])
-    assert len(train) + len(dev) + len(test) == len(corpus)
-
-
-def test_split_rejects_bad_fractions():
-    corpus = make_corpus(30, seed=0)
-    with pytest.raises(CorpusError):
-        split(corpus, 0.8, 0.3, seed=0)

@@ -260,6 +260,23 @@ def test_sgd_step_rejects_non_finite():
         sgd_step(params, 0.1)
 
 
+def test_sgd_step_non_finite_leaves_every_tensor_unchanged():
+    params = init_params(CONFIG, VOCAB)
+    s = next(s for s in CORPUS if s.mentions)
+    actions, _ = oracle(s)
+    loss, tape = sentence_loss(s, actions, params, VOCAB, CONFIG)
+    ad.backward(tape, loss)
+    last = list(params.t)[-1]
+    for name, t in params.t.items():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+    params.t[last].grad.flat[0] = np.nan
+    before = {name: t.data.tobytes() for name, t in params.t.items()}
+    with pytest.raises(FloatingPointError, match=last):
+        sgd_step(params, 0.1)
+    assert {name: t.data.tobytes() for name, t in params.t.items()} == before
+
+
 def test_predict_returns_valid_mentions():
     params = init_params(CONFIG, VOCAB)
     for s in list(CORPUS)[:5]:

@@ -1,12 +1,11 @@
-"""Tests for the BIO and BIOHD tag codecs and the ambiguity enumerator."""
+"""Tests for the BIOHD tag codec, on flat BIO input too, and the ambiguity enumerator."""
 
 import numpy as np
 import pytest
 
 from disconer.corpus import CorpusError, Fragment, Mention, Sentence
 from disconer.schemas import (Tag, TagSequence, ambiguity_witnesses,
-                              decode_bio, decode_biohd, encode_bio,
-                              encode_biohd, to_conll)
+                              decode_biohd, encode_biohd, to_conll)
 from disconer.synth import make_corpus
 
 FIG2 = Sentence(("muscle", "pain", "and", "fatigue"),
@@ -29,39 +28,35 @@ def test_tag_sequence_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# BIO
+# Flat BIO: BIOHD without H or D components
 # ---------------------------------------------------------------------------
 
 def test_encode_bio_basic():
     s = Sentence(("muscle", "pain", "x", "y"), (Mention("ADR", (Fragment(0, 2),)),))
-    assert str(encode_bio(s)) == "B-ADR I-ADR O O"
+    assert str(encode_biohd(s)) == "B-ADR I-ADR O O"
     empty = Sentence(("a", "b"), ())
-    assert str(encode_bio(empty)) == "O O"
-
-
-def test_encode_bio_rejects_disc_and_overlap():
-    with pytest.raises(CorpusError):
-        encode_bio(FIG2)
-    s = Sentence(("a", "b", "c"),
-                 (Mention("T", (Fragment(0, 2),)), Mention("U", (Fragment(1, 3),))))
-    with pytest.raises(CorpusError):
-        encode_bio(s)
+    assert str(encode_biohd(empty)) == "O O"
 
 
 def test_decode_bio():
-    assert decode_bio(TagSequence.parse("O O O")) == frozenset()
-    assert decode_bio(TagSequence.parse("B-T I-T I-T")) == frozenset(
+    assert decode_biohd(TagSequence.parse("O O O")) == frozenset()
+    assert decode_biohd(TagSequence.parse("B-T I-T I-T")) == frozenset(
         {Mention("T", (Fragment(0, 3),))})
     # orphan I repaired as B
-    assert decode_bio(TagSequence.parse("O I-T O")) == frozenset(
+    assert decode_biohd(TagSequence.parse("O I-T O")) == frozenset(
         {Mention("T", (Fragment(1, 2),))})
+    # a type change starts a new mention
+    assert decode_biohd(TagSequence.parse("B-T I-U")) == frozenset(
+        {Mention("T", (Fragment(0, 1),)), Mention("U", (Fragment(1, 2),))})
 
 
 def test_bio_round_trip_on_flat_corpora():
     corpus = make_corpus(100, seed=7,
                          weights={"flat": 0.7, "flat_pair": 0.3})
     for s in corpus:
-        assert decode_bio(encode_bio(s)) == frozenset(s.mentions)
+        tags = encode_biohd(s)
+        assert all(t.indicator in ("B", "I", "O") for t in tags.tags)
+        assert decode_biohd(tags) == frozenset(s.mentions)
 
 
 def test_decode_bio_never_raises_on_fuzz():
@@ -70,7 +65,7 @@ def test_decode_bio_never_raises_on_fuzz():
     for _ in range(300):
         tags = TagSequence.parse(" ".join(
             alphabet[int(rng.integers(5))] for _ in range(int(rng.integers(1, 9)))))
-        decode_bio(tags)
+        decode_biohd(tags)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,7 @@ def test_ambiguity_witnesses_unique_for_flat_tags():
             alphabet[int(rng.integers(3))] for _ in range(int(rng.integers(1, 7)))))
         witnesses = ambiguity_witnesses(tags)
         assert len(witnesses) == 1
-        assert witnesses[0] == decode_bio(tags)
+        assert witnesses[0] == decode_biohd(tags)
 
 
 def test_witnesses_reencode_exactly_and_are_distinct():
