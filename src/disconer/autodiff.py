@@ -5,6 +5,17 @@ backward() replays them in reverse exactly once. Parameters are leaf
 tensors shared across tapes; their .grad fields accumulate and are cleared
 by the optimizer. Hot paths (LSTM cell, char CNN, masked NLL) are fused
 nodes with hand-written backward closures to keep graphs small.
+
+A parameter table read through row() or rows_lookup() (the word, char and
+action embeddings) gets a row-sparse gradient: .grad holds only the rows the
+tape read, shape (k, d), and .rows their sorted indices. The lookup closures
+queue their row gradients on the tape; backward() then adds the queue into
+k rows that start at +0.0 (or at the sums an earlier, unstepped tape left),
+in the order a dense += would, so a step on the k rows gives bitwise the
+result of a step on the whole table. A forward pass that is never
+differentiated records nothing. Every other gradient is dense, with .rows
+None. Outside the backward pass only dense_grad(), step() and clear_grad()
+read the layout.
 """
 
 from __future__ import annotations
@@ -13,11 +24,12 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_backward")
+    __slots__ = ("data", "grad", "rows", "_backward")
 
     def __init__(self, data, backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.rows = None
         self._backward = backward
 
     @property
@@ -29,10 +41,12 @@ class Tensor:
 
 
 class Tape:
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "lookups")
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        # table -> (row indices, row gradients) queued by the lookup closures
+        self.lookups: dict[Tensor, tuple[list[int], list[np.ndarray]]] = {}
 
     def _node(self, data, backward) -> Tensor:
         t = Tensor(data, backward)
@@ -57,6 +71,55 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for t in reversed(tape.nodes):
         if t._backward is not None:
             t._backward()
+    for table, (indices, grads) in tape.lookups.items():
+        _add_rows(table, indices, np.vstack(grads))
+    tape.lookups.clear()
+
+
+def _add_rows(table: Tensor, indices: list[int], grads: np.ndarray) -> None:
+    """Add grads[j] into row indices[j] of table's row-sparse gradient, in
+    order; rows from an earlier backward pass keep their sums."""
+    old_rows = table.rows if table.grad is not None else np.empty(0, dtype=np.intp)
+    rows = np.array(sorted(set(indices).union(old_rows.tolist())), dtype=np.intp)
+    grad = np.zeros((len(rows),) + table.data.shape[1:])
+    if len(old_rows):
+        grad[np.searchsorted(rows, old_rows)] = table.grad
+    np.add.at(grad, np.searchsorted(rows, indices), grads)
+    table.grad, table.rows = grad, rows
+
+
+def _queue_rows(lookups: dict, table: Tensor, indices, grad: np.ndarray) -> None:
+    queued = lookups.get(table)
+    if queued is None:
+        queued = lookups[table] = ([], [])
+    queued[0].extend(indices)
+    queued[1].append(grad)
+
+
+def dense_grad(t: Tensor) -> np.ndarray:
+    """t's gradient as an array of t's shape; zeros where none was taken."""
+    if t.grad is None:
+        return np.zeros_like(t.data)
+    if t.rows is None:
+        return t.grad
+    dense = np.zeros_like(t.data)
+    dense[t.rows] = t.grad
+    return dense
+
+
+def step(t: Tensor, learning_rate: float) -> None:
+    """t.data -= learning_rate * grad and clear the gradient. A row-sparse
+    gradient steps only its rows: the others would subtract lr * 0.0, which
+    leaves them bitwise as they are."""
+    if t.rows is None:
+        t.data -= learning_rate * t.grad
+    else:
+        t.data[t.rows] -= learning_rate * t.grad
+    clear_grad(t)
+
+
+def clear_grad(t: Tensor) -> None:
+    t.grad = t.rows = None
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +134,6 @@ def add_n(tape: Tape, terms: list[Tensor]) -> Tensor:
             return
         for t in terms:
             _accum(t, out.grad)
-
-    out._backward = back
-    return out
-
-
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = tape._node(a.data * b.data, None)
-
-    def back():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * b.data)
-        _accum(b, out.grad * a.data)
 
     out._backward = back
     return out
@@ -152,29 +202,26 @@ def rows_slice(tape: Tape, M: Tensor, start: int, stop: int) -> Tensor:
 
 
 def row(tape: Tape, table: Tensor, index: int) -> Tensor:
+    """table.data[index]; table must be a parameter leaf (row-sparse grad)."""
     out = tape._node(table.data[index], None)
+    lookups = tape.lookups
 
     def back():
-        if out.grad is None:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        table.grad[index] += out.grad
+        if out.grad is not None:
+            _queue_rows(lookups, table, (index,), out.grad)
 
     out._backward = back
     return out
 
 
 def rows_lookup(tape: Tape, table: Tensor, indices: list[int]) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    out = tape._node(table.data[idx], None)
+    """table.data[indices]; table must be a parameter leaf (row-sparse grad)."""
+    out = tape._node(table.data[np.asarray(indices, dtype=np.intp)], None)
+    lookups = tape.lookups
 
     def back():
-        if out.grad is None:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, out.grad)
+        if out.grad is not None:
+            _queue_rows(lookups, table, indices, out.grad)
 
     out._backward = back
     return out

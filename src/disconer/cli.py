@@ -180,17 +180,20 @@ def cmd_train(args) -> int:
     vocab = neural.Vocab.build(train)
     best = {"f1": -1.0, "epoch": -1, "params": None}
 
-    def dev_hook(epoch: int, params: neural.ScorerParams) -> None:
-        if dev is None:
-            return
-        gold = [frozenset(s.mentions) for s in dev]
-        pred = [neural.predict(s, params, vocab, config) for s in dev]
-        _, _, f1 = evaluation.strict_prf(gold, pred)
-        print(f"epoch {epoch} dev_f1 {f1:.4f}")
-        if f1 > best["f1"]:
-            best.update(f1=f1, epoch=epoch, params=params.copy())
+    def epoch_hook(epoch: int, params: neural.ScorerParams, stats: dict) -> None:
+        record = {"epoch": epoch, **stats}
+        if dev is not None:
+            gold = [frozenset(s.mentions) for s in dev]
+            pred = [neural.predict(s, params, vocab, config) for s in dev]
+            p, r, f1 = evaluation.strict_prf(gold, pred)
+            record.update(dev_p=p, dev_r=r, dev_f1=f1)
+        print(json.dumps(record))
+        if dev is not None:
+            print(f"epoch {epoch} dev_f1 {f1:.4f}")
+            if f1 > best["f1"]:
+                best.update(f1=f1, epoch=epoch, params=params.copy())
 
-    params, vocab, info = neural.train(train, config, vocab=vocab, dev_hook=dev_hook)
+    params, vocab, info = neural.train(train, config, vocab=vocab, epoch_hook=epoch_hook)
     if info["skipped_nested"]:
         print(f"skipped_nested = {info['skipped_nested']}")
     if info["uncovered_dropped"]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import time
 import zlib
 from dataclasses import asdict, dataclass
 from typing import ClassVar
@@ -119,12 +120,9 @@ class ScorerParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.t.items()}
 
-    def gradients(self) -> dict[str, np.ndarray | None]:
-        return {name: t.grad for name, t in self.t.items()}
-
     def zero_grad(self) -> None:
         for t in self.t.values():
-            t.grad = None
+            ad.clear_grad(t)
 
     def copy(self) -> "ScorerParams":
         return ScorerParams({name: t.data.copy() for name, t in self.t.items()})
@@ -415,19 +413,19 @@ def sgd_step(params: ScorerParams, learning_rate: float) -> None:
         if not np.all(np.isfinite(t.grad)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     for _, t in stepped:
-        t.data -= learning_rate * t.grad
-        t.grad = None
+        ad.step(t, learning_rate)
 
 
 def train(corpus: Corpus, config: ScorerConfig,
           vocab: Vocab | None = None,
-          dev_hook=None) -> tuple[ScorerParams, Vocab, dict]:
+          epoch_hook=None) -> tuple[ScorerParams, Vocab, dict]:
     """Teacher-forced SGD over oracle action sequences.
 
     Sentences with nested gold mentions are skipped; gold mentions the
     oracle cannot derive are dropped (both counted in the returned info
-    dict). `dev_hook(epoch, params)` runs after every epoch when given.
-    Deterministic given config.seed.
+    dict). `epoch_hook(epoch, params, stats)` runs after every epoch when
+    given; `stats` holds the epoch's mean loss, wall time, sentences and
+    tokens per second, and both counts. Deterministic given config.seed.
     """
     if len(corpus) == 0:
         raise CorpusError("cannot train on an empty corpus")
@@ -445,6 +443,7 @@ def train(corpus: Corpus, config: ScorerConfig,
             continue
         uncovered_total += len(uncovered)
         prepared.append((sent, actions))
+    tokens = sum(len(sent.tokens) for sent, _ in prepared)
 
     rng = np.random.default_rng(config.seed)
     losses_per_epoch = []
@@ -452,6 +451,7 @@ def train(corpus: Corpus, config: ScorerConfig,
     # sgd_step's finite check reports it, so numpy's warnings are only noise.
     with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
+            t0 = time.perf_counter()
             order = rng.permutation(len(prepared))
             total = 0.0
             for j in order:
@@ -461,8 +461,12 @@ def train(corpus: Corpus, config: ScorerConfig,
                 sgd_step(params, config.learning_rate)
                 total += float(loss.data)
             losses_per_epoch.append(total / max(len(prepared), 1))
-            if dev_hook is not None:
-                dev_hook(epoch, params)
+            if epoch_hook is not None:
+                wall = time.perf_counter() - t0
+                epoch_hook(epoch, params, {
+                    "loss": losses_per_epoch[-1], "wall_s": wall,
+                    "sentences_per_s": len(prepared) / wall, "tokens_per_s": tokens / wall,
+                    "skipped_nested": skipped_nested, "uncovered_dropped": uncovered_total})
     info = {"skipped_nested": skipped_nested, "uncovered_dropped": uncovered_total,
             "epoch_losses": losses_per_epoch}
     return params, vocab, info
@@ -478,7 +482,8 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     """Max relative error between analytic and central-difference gradients.
 
     Samples n_coords coordinates with at least one from every parameter
-    group. Zero-length sentences return 0 by convention.
+    group, and for each lookup table one from a row the sentence reads.
+    Zero-length sentences return 0 by convention.
     """
     if len(sentence.tokens) == 0:
         return 0.0
@@ -491,16 +496,30 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     params.zero_grad()
     loss, tape = sentence_loss(sentence, gold_actions, params, vocab, config)
     backward(tape, loss)
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for name, t in params.t.items()}
+    analytic = {name: ad.dense_grad(t) for name, t in params.t.items()}
     params.zero_grad()
 
+    # A table row the sentence does not read has a zero gradient, analytic
+    # and numeric, so it tests nothing: the guaranteed coordinate of each
+    # lookup table is taken from a row the sentence reads (its tokens' words
+    # and characters, the oracle's actions).
+    actions = vocab.action_list()
+    used_rows = {
+        "word_emb": {vocab.word_index(tok) for tok in sentence.tokens},
+        "char_emb": {c for tok in sentence.tokens for c in vocab.char_indices(tok)},
+        "act_emb": {actions.index(a) for a in gold_actions},
+    }
     rng = np.random.default_rng(seed)
     coords: list[tuple[str, tuple[int, ...]]] = []
     names = params.names()
     for name in names:  # one coordinate from every group
         shape = params.t[name].data.shape
-        coords.append((name, tuple(int(rng.integers(s)) for s in shape)))
+        if name in used_rows:
+            rows = sorted(used_rows[name])
+            idx = (rows[int(rng.integers(len(rows)))], int(rng.integers(shape[1])))
+        else:
+            idx = tuple(int(rng.integers(s)) for s in shape)
+        coords.append((name, idx))
     while len(coords) < n_coords:
         name = names[int(rng.integers(len(names)))]
         shape = params.t[name].data.shape

@@ -131,7 +131,7 @@ def test_criterion_06_overfit():
     class Converged(Exception):
         pass
 
-    def hook(epoch, params):
+    def hook(epoch, params, stats):
         pred = [predict(s, params, vocab, config) for s in corpus]
         if strict_prf(gold, pred)[2] == 1.0:
             raise Converged
@@ -139,7 +139,7 @@ def test_criterion_06_overfit():
     t0 = time.time()
     perfect = False
     try:
-        train(corpus, config, vocab=vocab, dev_hook=hook)
+        train(corpus, config, vocab=vocab, epoch_hook=hook)
     except Converged:
         perfect = True
     _report(6, perfect and time.time() - t0 < 120.0)

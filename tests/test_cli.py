@@ -218,6 +218,30 @@ def test_train_predict_evaluate_pipeline(workdir):
                          "by_category", "by_length"}
 
 
+def test_train_prints_one_json_line_per_epoch(workdir):
+    for dev in ((), ("--dev", "dev.txt")):
+        out = run_cli("--config", "run.cfg", "--seed", "0", "train", "--train", "train.txt",
+                      *dev, "--checkpoint", "epochs.bin", cwd=workdir)
+        assert out.returncode == 0, out.stderr
+        records = [json.loads(line) for line in out.stdout.splitlines()
+                   if line.startswith("{")]
+        assert [r["epoch"] for r in records] == list(range(6))
+        keys = {"epoch", "loss", "sentences_per_s", "tokens_per_s", "wall_s",
+                "skipped_nested", "uncovered_dropped"}
+        if dev:
+            keys |= {"dev_p", "dev_r", "dev_f1"}
+        for r in records:
+            assert set(r) == keys
+            assert r["loss"] > 0 and r["wall_s"] > 0
+            assert r["tokens_per_s"] > r["sentences_per_s"] > 0
+            assert r["skipped_nested"] == r["uncovered_dropped"] == 0
+        assert records[-1]["loss"] < records[0]["loss"]
+        if dev:
+            for r in records:
+                assert 0 <= r["dev_f1"] <= 1
+                assert f"epoch {r['epoch']} dev_f1 {r['dev_f1']:.4f}" in out.stdout
+
+
 def test_evaluate_refuses_different_tokens(workdir):
     gold = parse_inline((workdir / "test.txt").read_text())
     changed = Sentence(("x",) + gold.sentences[3].tokens[1:], gold.sentences[3].mentions)

@@ -59,8 +59,7 @@ def test_lstm_cell_gradients():
 
     tape = ad.Tape()
     h2, _ = ad.lstm_cell(tape, W, b, x, h, c)
-    loss = ad.mul(tape, h2, ad.leaf(v))
-    total = ad.add_n(tape, [ad.row(tape, loss, i) for i in range(H)])
+    total = ad.affine(tape, ad.leaf(v[None, :]), h2, ad.leaf(np.zeros(1)))
     ad.backward(tape, total)
     for t, name in ((W, "W"), (b, "b"), (x, "x"), (h, "h"), (c, "c")):
         num = _num_grad(forward, t.data)
@@ -81,8 +80,7 @@ def test_char_cnn_gradients():
 
     tape = ad.Tape()
     out = ad.char_cnn(tape, filters, bias, emb)
-    s = ad.mul(tape, out, ad.leaf(v))
-    total = ad.add_n(tape, [ad.row(tape, s, i) for i in range(3)])
+    total = ad.affine(tape, ad.leaf(v[None, :]), out, ad.leaf(np.zeros(1)))
     ad.backward(tape, total)
     for t in (filters, bias, emb):
         assert np.allclose(t.grad, _num_grad(forward, t.data), atol=1e-6)
@@ -230,8 +228,7 @@ def test_sentence_loss_positive_and_finite():
     loss, tape = sentence_loss(s, actions, params, VOCAB, CONFIG)
     assert float(loss.data) > 0.0
     ad.backward(tape, loss)
-    g = params.gradients()
-    assert any(v is not None and np.abs(v).sum() > 0 for v in g.values())
+    assert any(t.grad is not None and np.abs(t.grad).sum() > 0 for t in params.t.values())
 
 
 def test_finite_diff_small():
@@ -261,20 +258,97 @@ def test_sgd_step_rejects_non_finite():
 
 
 def test_sgd_step_non_finite_leaves_every_tensor_unchanged():
-    params = init_params(CONFIG, VOCAB)
     s = next(s for s in CORPUS if s.mentions)
+    actions, _ = oracle(s)
+    # the last tensor, and the first row of word_emb that the sentence read
+    for bad in (list(init_params(CONFIG, VOCAB).t)[-1], "word_emb"):
+        params = init_params(CONFIG, VOCAB)
+        loss, tape = sentence_loss(s, actions, params, VOCAB, CONFIG)
+        ad.backward(tape, loss)
+        for t in params.t.values():
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+        params.t[bad].grad.flat[0] = np.nan
+        before = {name: t.data.tobytes() for name, t in params.t.items()}
+        with pytest.raises(FloatingPointError, match=bad):
+            sgd_step(params, 0.1)
+        assert {name: t.data.tobytes() for name, t in params.t.items()} == before
+
+
+LOOKUP_TABLES = ("word_emb", "char_emb", "act_emb")
+
+
+def _one_backward(s):
+    params = init_params(CONFIG, VOCAB)
     actions, _ = oracle(s)
     loss, tape = sentence_loss(s, actions, params, VOCAB, CONFIG)
     ad.backward(tape, loss)
-    last = list(params.t)[-1]
+    return params, actions
+
+
+def test_lookup_tables_get_one_gradient_row_per_row_read():
+    s = next(s for s in CORPUS if s.mentions and len(set(s.tokens)) < len(s.tokens))
+    params, actions = _one_backward(s)
+    all_actions = VOCAB.action_list()
+    read = {"word_emb": [VOCAB.word_index(tok) for tok in s.tokens],
+            "char_emb": [c for tok in s.tokens for c in VOCAB.char_indices(tok)],
+            "act_emb": [all_actions.index(a) for a in actions]}
+    for name in LOOKUP_TABLES:
+        t = params.t[name]
+        assert t.rows.tolist() == sorted(set(read[name])), name
+        assert t.grad.shape == (len(t.rows), t.data.shape[1])
+    assert len(params.t["word_emb"].rows) == len(set(s.tokens))
     for name, t in params.t.items():
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-    params.t[last].grad.flat[0] = np.nan
-    before = {name: t.data.tobytes() for name, t in params.t.items()}
-    with pytest.raises(FloatingPointError, match=last):
-        sgd_step(params, 0.1)
-    assert {name: t.data.tobytes() for name, t in params.t.items()} == before
+        if name not in LOOKUP_TABLES:
+            assert t.rows is None and t.grad.shape == t.data.shape, name
+
+
+def test_only_backward_queues_table_rows():
+    """A forward pass that is never differentiated (predict) records no
+    rows; backward adds its queue into the tables and empties it."""
+    s = next(s for s in CORPUS if s.mentions)
+    params = init_params(CONFIG, VOCAB)
+    loss, tape = sentence_loss(s, oracle(s)[0], params, VOCAB, CONFIG)
+    assert tape.lookups == {}
+    ad.backward(tape, loss)
+    assert tape.lookups == {}
+    assert all(params.t[name].rows is not None for name in LOOKUP_TABLES)
+
+
+def test_sgd_step_matches_a_dense_step_bitwise():
+    s = next(s for s in CORPUS if s.mentions)
+    params, _ = _one_backward(s)
+    lr = 0.1
+    expected = {}
+    for name, t in params.t.items():
+        dense = np.zeros_like(t.data)
+        if t.rows is None:
+            dense += t.grad
+        else:
+            dense[t.rows] += t.grad
+        expected[name] = (t.data - lr * dense).tobytes()
+    untouched = next(i for i in range(len(VOCAB.words))
+                     if i not in params.t["word_emb"].rows)
+    row_before = params.t["word_emb"].data[untouched].tobytes()
+    sgd_step(params, lr)
+    assert {name: t.data.tobytes() for name, t in params.t.items()} == expected
+    assert params.t["word_emb"].data[untouched].tobytes() == row_before
+    assert all(t.grad is None and t.rows is None for t in params.t.values())
+
+
+def test_row_gradients_accumulate_over_two_backward_passes():
+    a, b = [s for s in CORPUS if s.mentions][:2]
+    (pa, _), (pb, _) = _one_backward(a), _one_backward(b)
+    params = init_params(CONFIG, VOCAB)
+    for s in (a, b):
+        loss, tape = sentence_loss(s, oracle(s)[0], params, VOCAB, CONFIG)
+        ad.backward(tape, loss)
+    for name in LOOKUP_TABLES:
+        t = params.t[name]
+        assert t.rows.tolist() == sorted(set(pa.t[name].rows) | set(pb.t[name].rows))
+        assert np.allclose(ad.dense_grad(t),
+                           ad.dense_grad(pa.t[name]) + ad.dense_grad(pb.t[name]),
+                           rtol=0, atol=1e-12), name
 
 
 def test_predict_returns_valid_mentions():
@@ -432,6 +506,8 @@ def test_bench_tracer_hooks_resolve():
         params = init_params(CONFIG, VOCAB)
         loss, tape = neural.sentence_loss(s, actions, params, VOCAB, CONFIG)
         neural.backward(tape, loss)
+        grad_bytes = sum(t.grad.nbytes for t in params.t.values() if t.grad is not None)
+        neural.sgd_step(params, CONFIG.learning_rate)
         tracer.active = False
         tracer.close_all()
     finally:
@@ -439,7 +515,11 @@ def test_bench_tracer_hooks_resolve():
     assert neural.token_reps is original
     names = {tracer.names[span[0]] for span in tracer.spans}
     assert {"neural.token_reps", "neural.encode_parser_state", "neural.advance",
-            "neural.stack_push", "autodiff.masked_nll", "autodiff.backward",
-            "autodiff.lstm_cell.bilstm.bwd"} <= names
+            "neural.stack_push", "neural.sgd_step", "autodiff.masked_nll",
+            "autodiff.backward", "autodiff.lstm_cell.bilstm.bwd",
+            "autodiff.row.bwd", "autodiff.rows_lookup.bwd"} <= names
+    assert tracer.counts["sgd_steps"] == 1
+    assert tracer.counts["grad_bytes"] == grad_bytes
+    assert grad_bytes < sum(t.data.nbytes for t in params.t.values())
     assert tracer.tapes == [tape]
     assert tracer.counts["transitions.apply"] == len(actions)
