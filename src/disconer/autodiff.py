@@ -15,7 +15,14 @@ in the order a dense += would, so a step on the k rows gives bitwise the
 result of a step on the whole table. A forward pass that is never
 differentiated records nothing. Every other gradient is dense, with .rows
 None. Outside the backward pass only dense_grad(), step() and clear_grad()
-read the layout.
+read the layout. backward() drops each closure once it has run, which breaks
+the node <-> closure cycle, so a finished tape is freed by reference counting.
+
+The forward arithmetic of the fused ops lives in kernels on plain arrays
+(_affine, _lstm_cell, _char_cnn, _attend, _masked_nll). A tape op calls its
+kernel and adds the backward closure. A rollout calls its ops through an op
+set: Recorded records them on a tape, Forward runs the kernels alone, with
+no Tape, no Tensor and no closure.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "rows", "_backward")
+    __slots__ = ("data", "grad", "rows", "_backward", "__weakref__")
 
     def __init__(self, data, backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -71,6 +78,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for t in reversed(tape.nodes):
         if t._backward is not None:
             t._backward()
+            t._backward = None
     for table, (indices, grads) in tape.lookups.items():
         _add_rows(table, indices, np.vstack(grads))
     tape.lookups.clear()
@@ -139,9 +147,13 @@ def add_n(tape: Tape, terms: list[Tensor]) -> Tensor:
     return out
 
 
+def _affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return W @ x + b
+
+
 def affine(tape: Tape, W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     """W @ x + b."""
-    out = tape._node(W.data @ x.data + b.data, None)
+    out = tape._node(_affine(W.data, x.data, b.data), None)
 
     def back():
         if out.grad is None:
@@ -235,19 +247,31 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _lstm_cell(W: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray,
+               c: np.ndarray):
+    """One LSTM step: (h2, c2) and the activations the backward pass reads.
+
+    One sigmoid covers the i, f and o gates; elementwise, it is bitwise the
+    three separate calls.
+    """
+    H = c.shape[0]
+    xh = np.concatenate([x, h])
+    gates = W @ xh + b
+    sig = _sigmoid(gates[:3 * H])
+    i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
+    g = np.tanh(gates[3 * H:])
+    c2 = f * c + i * g
+    tc = np.tanh(c2)
+    return tc * o, c2, xh, sig, g, tc
+
+
 def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
               h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step; W has shape (4H, x_dim + H), gate order i,f,o,g."""
     H = c.data.shape[0]
-    xh = np.concatenate([x.data, h.data])
-    gates = W.data @ xh + b.data
-    i = _sigmoid(gates[:H])
-    f = _sigmoid(gates[H:2 * H])
-    o = _sigmoid(gates[2 * H:3 * H])
-    g = np.tanh(gates[3 * H:])
-    c2_data = f * c.data + i * g
-    tc = np.tanh(c2_data)
-    h2 = tape._node(tc * o, None)
+    h2_data, c2_data, xh, sig, g, tc = _lstm_cell(W.data, b.data, x.data, h.data, c.data)
+    i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
+    h2 = tape._node(h2_data, None)
     c2 = tape._node(c2_data, None)
 
     def back():
@@ -256,20 +280,18 @@ def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
         if dh2 is None and dc2 is None:
             return
         dc_total = np.zeros(H) if dc2 is None else dc2.copy()
+        dgates = np.empty(4 * H)
         if dh2 is not None:
-            do = dh2 * tc
+            dgates[2 * H:3 * H] = dh2 * tc                 # do
             dc_total += dh2 * o * (1.0 - tc * tc)
         else:
-            do = np.zeros(H)
-        di = dc_total * g
-        df = dc_total * c.data
-        dg = dc_total * i
-        dgates = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dg * (1.0 - g * g),
-        ])
+            dgates[2 * H:3 * H] = 0.0
+        dgates[:H] = dc_total * g                          # di
+        dgates[H:2 * H] = dc_total * c.data                # df
+        # d * s * (1 - s) for the three sigmoid gates, g through tanh
+        dgates[:3 * H] *= sig
+        dgates[:3 * H] *= 1.0 - sig
+        dgates[3 * H:] = dc_total * i * (1.0 - g * g)
         _accum(W, np.outer(dgates, xh))
         _accum(b, dgates)
         dxh = W.data.T @ dgates
@@ -282,24 +304,34 @@ def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
     return h2, c2
 
 
+def _char_cnn(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray):
+    """Max-pooled convolution: the output, the window rows and the winning
+    position of each filter."""
+    n_filters = filters.shape[0]
+    char_dim = emb.shape[1]
+    window = filters.shape[1] // char_dim
+    length = emb.shape[0]
+    padded = emb
+    if length < window:
+        padded = np.vstack([padded, np.zeros((window - length, char_dim))])
+    n_pos = padded.shape[0] - window + 1
+    windows = np.stack([padded[p:p + window].ravel() for p in range(n_pos)])
+    responses = windows @ filters.T + bias  # (n_pos, n_filters)
+    best = np.argmax(responses, axis=0)
+    return responses[best, np.arange(n_filters)], windows, best
+
+
 def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor) -> Tensor:
     """Single-convolution char CNN with max pooling.
 
     filters: (n_filters, window * char_dim); emb: (length, char_dim).
     The embedding is zero-padded up to the window size when too short.
     """
-    n_filters = filters.data.shape[0]
-    char_dim = emb.data.shape[1]
+    n_filters, char_dim = filters.data.shape[0], emb.data.shape[1]
     window = filters.data.shape[1] // char_dim
     length = emb.data.shape[0]
-    padded = emb.data
-    if length < window:
-        padded = np.vstack([padded, np.zeros((window - length, char_dim))])
-    n_pos = padded.shape[0] - window + 1
-    windows = np.stack([padded[p:p + window].ravel() for p in range(n_pos)])
-    responses = windows @ filters.data.T + bias.data  # (n_pos, n_filters)
-    best = np.argmax(responses, axis=0)
-    out = tape._node(responses[best, np.arange(n_filters)], None)
+    out_data, windows, best = _char_cnn(filters.data, bias.data, emb.data)
+    out = tape._node(out_data, None)
 
     def back():
         if out.grad is None:
@@ -309,7 +341,7 @@ def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor) -> Tensor:
         _accum(filters, dfilters)
         if emb.grad is None:
             emb.grad = np.zeros_like(emb.data)
-        dpadded = np.zeros_like(padded)
+        dpadded = np.zeros((max(length, window), char_dim))
         for k in range(n_filters):
             p = best[k]
             dpadded[p:p + window] += (out.grad[k] * filters.data[k]).reshape(window, char_dim)
@@ -317,6 +349,16 @@ def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor) -> Tensor:
 
     out._backward = back
     return out
+
+
+def _attend(query: np.ndarray, W: np.ndarray, B: np.ndarray):
+    """The weighted sum of B's rows, u = W^T query and the weights (n,)."""
+    u = W.T @ query                      # (R,)
+    scores = B @ u                       # (n,)
+    m = scores.max()
+    e = np.exp(scores - m)
+    w = e / e.sum()                      # (n,)
+    return B.T @ w, u, w
 
 
 def attend(tape: Tape, query: Tensor, W: Tensor, B: Tensor) -> Tensor:
@@ -327,12 +369,8 @@ def attend(tape: Tape, query: Tensor, W: Tensor, B: Tensor) -> Tensor:
     """
     if B.data.shape[0] == 0:
         return tape._node(np.zeros(W.data.shape[1]), None)
-    u = W.data.T @ query.data            # (R,)
-    scores = B.data @ u                  # (n,)
-    m = scores.max()
-    e = np.exp(scores - m)
-    w = e / e.sum()                      # (n,)
-    out = tape._node(B.data.T @ w, None)
+    out_data, u, w = _attend(query.data, W.data, B.data)
+    out = tape._node(out_data, None)
 
     def back():
         if out.grad is None:
@@ -351,18 +389,22 @@ def attend(tape: Tape, query: Tensor, W: Tensor, B: Tensor) -> Tensor:
 
 def attention_weights(query: np.ndarray, W: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Forward-only attention weights (diagnostics and tests)."""
-    scores = B @ (W.T @ query)
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+    return _attend(query, W, B)[2]
+
+
+def _masked_nll(logits: np.ndarray, valid_idx: list[int], gold_pos: int):
+    """The loss, the valid indices, their logits and their log-sum-exp."""
+    idx = np.asarray(valid_idx, dtype=np.intp)
+    z = logits[idx]
+    m = z.max()
+    lse = m + np.log(np.exp(z - m).sum())
+    return np.asarray(lse - z[gold_pos]), idx, z, lse
 
 
 def masked_nll(tape: Tape, logits: Tensor, valid_idx: list[int], gold_pos: int) -> Tensor:
     """-log softmax(logits[valid_idx])[gold_pos]; invalid actions are masked out."""
-    idx = np.asarray(valid_idx, dtype=np.intp)
-    z = logits.data[idx]
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    out = tape._node(np.asarray(lse - z[gold_pos]), None)
+    loss, idx, z, lse = _masked_nll(logits.data, valid_idx, gold_pos)
+    out = tape._node(loss, None)
 
     def back():
         if out.grad is None:
@@ -385,3 +427,59 @@ def masked_softmax(logits: np.ndarray, valid_idx: list[int]) -> np.ndarray:
     e = np.exp(z - z.max())
     out[idx] = e / e.sum()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Op sets: the ops a rollout calls, recorded or not
+# ---------------------------------------------------------------------------
+
+class Recorded:
+    """The ops of a rollout that is differentiated: Tensors on `tape`. Each
+    op method calls the module's op of the same name, looked up when called,
+    so a wrapper installed on the module sees every op. `p` maps parameter
+    names to their leaf Tensors."""
+    __slots__ = ("tape", "p")
+
+    def __init__(self, tape: Tape, p: dict[str, Tensor]):
+        self.tape, self.p = tape, p
+
+    @staticmethod
+    def zeros(n: int) -> Tensor:
+        return leaf(np.zeros(n))
+
+
+def _recorded(name: str):
+    def op(self, *args):
+        return globals()[name](self.tape, *args)
+    op.__name__, op.__qualname__ = name, f"Recorded.{name}"
+    return op
+
+
+for _name in ("row", "rows_lookup", "rows_slice", "concat", "stack_rows", "affine",
+              "lstm_cell", "char_cnn", "attend", "masked_nll"):
+    setattr(Recorded, _name, _recorded(_name))
+del _name
+
+
+class Forward:
+    """The same ops on plain float64 arrays, for a rollout that nothing
+    differentiates: the kernels alone, with no Tape, no Tensor and no closure.
+    A lookup, slice or concatenation is the numpy expression its tape op
+    evaluates. `p` maps parameter names to their arrays."""
+    __slots__ = ("p",)
+
+    def __init__(self, p: dict[str, np.ndarray]):
+        self.p = p
+
+    zeros = staticmethod(np.zeros)
+    concat = staticmethod(np.concatenate)
+    stack_rows = staticmethod(np.stack)
+    affine = staticmethod(_affine)
+    row = staticmethod(lambda table, index: table[index])
+    rows_lookup = staticmethod(lambda table, indices: table[np.asarray(indices, dtype=np.intp)])
+    rows_slice = staticmethod(lambda M, start, stop: M[start:stop])
+    lstm_cell = staticmethod(lambda W, b, x, h, c: _lstm_cell(W, b, x, h, c)[:2])
+    char_cnn = staticmethod(lambda filters, bias, emb: _char_cnn(filters, bias, emb)[0])
+    attend = staticmethod(lambda query, W, B: _attend(query, W, B)[0])
+    masked_nll = staticmethod(lambda logits, valid_idx, gold_pos:
+                              _masked_nll(logits, valid_idx, gold_pos)[0])

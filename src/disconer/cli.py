@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 from . import corpus as corpus_mod
 from . import evaluation, neural, schemas, transitions
@@ -212,12 +213,17 @@ def cmd_predict(args) -> int:
     params, config, vocab = neural.load_checkpoint(args.checkpoint)
     corpus = read_corpus(args.input, args.format)
     sentences = []
+    t0 = time.perf_counter()
     for sent in corpus:
         pred = neural.predict(sent, params, vocab, config)
         sentences.append(corpus_mod.Sentence(sent.tokens, tuple(sorted(
             pred, key=lambda m: (m.fragments, m.entity_type))),
             sent_index=sent.sent_index))
+    wall = time.perf_counter() - t0
     write_corpus(Corpus(tuple(sentences)), args.output, "inline")
+    tokens = sum(len(s.tokens) for s in corpus)
+    print(json.dumps({"sentences": len(corpus), "tokens": tokens, "wall_s": wall,
+                      "tokens_per_s": tokens / wall if wall > 0 else 0.0}))
     return 0
 
 

@@ -9,7 +9,8 @@ feeds a unidirectional LSTM. The concatenated parser features drive a
 softmax over the valid actions only.
 
 Everything is float64 and deterministic given the seed; training is plain
-per-sentence SGD with teacher forcing on oracle action sequences.
+per-sentence SGD with teacher forcing on oracle action sequences. Greedy
+prediction runs the same rollout forward only, on plain arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .transitions import (Action, ActionKind, LEFT_REDUCE, OUT, REDUCE,
                           valid_actions)
 
 UNK = "<unk>"
+# what a rollout calls its ops on: a tape when it trains, plain arrays when not
+Ops = ad.Recorded | ad.Forward
 
 
 @dataclass(frozen=True)
@@ -178,40 +181,38 @@ def init_params(config: ScorerConfig, vocab: Vocab, seed: int | None = None) -> 
 # Token representations
 # ---------------------------------------------------------------------------
 
-def token_reps(sentence: Sentence, params: ScorerParams, vocab: Vocab,
-               config: ScorerConfig, tape: Tape) -> tuple[list[Tensor], Tensor | None]:
+def token_reps(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig):
     """Per-token contextual vectors c_i and their stacked (N, rep_dim) matrix.
 
     Word embedding + char-CNN vector per token, BiLSTM over the sequence.
     Unknown words map to the UNK embedding.
     """
-    p = params.t
+    p = ops.p
     n = len(sentence.tokens)
     if n == 0:
         return [], None
 
     t_vecs = []
     for tok in sentence.tokens:
-        wvec = ad.row(tape, p["word_emb"], vocab.word_index(tok))
-        cemb = ad.rows_lookup(tape, p["char_emb"], vocab.char_indices(tok))
-        cvec = ad.char_cnn(tape, p["char_w"], p["char_b"], cemb)
-        t_vecs.append(ad.concat(tape, [wvec, cvec]))
+        wvec = ops.row(p["word_emb"], vocab.word_index(tok))
+        cemb = ops.rows_lookup(p["char_emb"], vocab.char_indices(tok))
+        cvec = ops.char_cnn(p["char_w"], p["char_b"], cemb)
+        t_vecs.append(ops.concat([wvec, cvec]))
 
-    H = config.hidden_dim
-    zero_h = ad.leaf(np.zeros(H))
+    zero_h = ops.zeros(config.hidden_dim)
     fwd = []
     h, c = zero_h, zero_h
     for t in t_vecs:
-        h, c = ad.lstm_cell(tape, p["lstm_fw_W"], p["lstm_fw_b"], t, h, c)
+        h, c = ops.lstm_cell(p["lstm_fw_W"], p["lstm_fw_b"], t, h, c)
         fwd.append(h)
     bwd = [None] * n
     h, c = zero_h, zero_h
     for i in range(n - 1, -1, -1):
-        h, c = ad.lstm_cell(tape, p["lstm_bw_W"], p["lstm_bw_b"], t_vecs[i], h, c)
+        h, c = ops.lstm_cell(p["lstm_bw_W"], p["lstm_bw_b"], t_vecs[i], h, c)
         bwd[i] = h
 
-    c_vecs = [ad.concat(tape, [fwd[i], bwd[i]]) for i in range(n)]
-    return c_vecs, ad.stack_rows(tape, c_vecs)
+    c_vecs = [ops.concat([fwd[i], bwd[i]]) for i in range(n)]
+    return c_vecs, ops.stack_rows(c_vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +221,22 @@ def token_reps(sentence: Sentence, params: ScorerParams, vocab: Vocab,
 
 @dataclass(frozen=True)
 class StackEntry:
-    """One pushed span: its input vector and the LSTM state after pushing."""
-    vec: Tensor
-    h: Tensor
-    c: Tensor
+    """One pushed span: its input vector and the LSTM state after pushing
+    (Tensors when recorded, arrays when not)."""
+    vec: Tensor | np.ndarray
+    h: Tensor | np.ndarray
+    c: Tensor | np.ndarray
 
 
-def stack_push(tape: Tape, params: ScorerParams, config: ScorerConfig,
-               stack: tuple[StackEntry, ...], vec: Tensor) -> tuple[StackEntry, ...]:
+def stack_push(ops: Ops, config: ScorerConfig, stack: tuple[StackEntry, ...],
+               vec) -> tuple[StackEntry, ...]:
     """Advance the Stack-LSTM one step; the previous state is kept intact."""
-    p = params.t
     if stack:
         h_prev, c_prev = stack[-1].h, stack[-1].c
     else:
-        zero = ad.leaf(np.zeros(config.stack_dim))
+        zero = ops.zeros(config.stack_dim)
         h_prev, c_prev = zero, zero
-    h, c = ad.lstm_cell(tape, p["stack_W"], p["stack_b"], vec, h_prev, c_prev)
+    h, c = ops.lstm_cell(ops.p["stack_W"], ops.p["stack_b"], vec, h_prev, c_prev)
     return stack + (StackEntry(vec, h, c),)
 
 
@@ -246,18 +247,16 @@ def stack_pop(stack: tuple[StackEntry, ...]) -> tuple[StackEntry, ...]:
     return stack[:-1]
 
 
-def compose(tape: Tape, params: ScorerParams, s0: Tensor, s1: Tensor) -> Tensor:
+def compose(ops: Ops, s0, s1):
     """Affine composition of the top two span representations."""
-    return ad.affine(tape, params.t["comp_W"], ad.concat(tape, [s0, s1]),
-                     params.t["comp_b"])
+    return ops.affine(ops.p["comp_W"], ops.concat([s0, s1]), ops.p["comp_b"])
 
 
-def attend(tape: Tape, s_vec: Tensor, buffer_matrix: Tensor | None,
-           W_a: Tensor) -> Tensor:
+def attend(ops: Ops, s_vec, buffer_matrix, W_a):
     """Weighted sum of buffer rows; the zero vector on an empty buffer."""
-    if buffer_matrix is None or buffer_matrix.data.shape[0] == 0:
-        return ad.leaf(np.zeros(W_a.data.shape[1]))
-    return ad.attend(tape, s_vec, W_a, buffer_matrix)
+    if buffer_matrix is None or buffer_matrix.shape[0] == 0:
+        return ops.zeros(W_a.shape[1])
+    return ops.attend(s_vec, W_a, buffer_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -266,68 +265,64 @@ def attend(tape: Tape, s_vec: Tensor, buffer_matrix: Tensor | None,
 
 @dataclass
 class _NeuralState:
-    """Differentiable companion of a symbolic ParserState rollout."""
+    """Neural companion of a symbolic ParserState rollout."""
     stack: tuple[StackEntry, ...] = ()
-    act_h: Tensor | None = None
-    act_c: Tensor | None = None
+    act_h: Tensor | np.ndarray | None = None
+    act_c: Tensor | np.ndarray | None = None
 
 
-def encode_parser_state(tape: Tape, params: ScorerParams, config: ScorerConfig,
-                        neural: _NeuralState, buffer_matrix: Tensor | None) -> Tensor:
+def encode_parser_state(ops: Ops, config: ScorerConfig, neural: _NeuralState,
+                        buffer_matrix):
     """[s0, s1, s2, s^a_0, s^a_1, s^a_2, a] with empties substituted.
 
     Missing spans are replaced by s_empty everywhere, including as the
     attention query. Attention terms are zero vectors on an empty buffer or
     when the attention path is disabled (ablation).
     """
-    p = params.t
-    parts: list[Tensor] = []
-    spans: list[Tensor] = []
-    for i in range(3):
-        spans.append(neural.stack[-1 - i].h if len(neural.stack) > i
-                     else p["s_empty"])
-    parts.extend(spans)
+    p = ops.p
+    spans = [neural.stack[-1 - i].h if len(neural.stack) > i else p["s_empty"]
+             for i in range(3)]
+    parts = list(spans)
     for i, s in enumerate(spans):
         if not config.attention:
-            parts.append(ad.leaf(np.zeros(config.rep_dim)))
+            parts.append(ops.zeros(config.rep_dim))
         else:
-            parts.append(attend(tape, s, buffer_matrix, p[f"attn_W{i}"]))
+            parts.append(attend(ops, s, buffer_matrix, p[f"attn_W{i}"]))
     parts.append(neural.act_h if neural.act_h is not None else p["a_empty"])
-    return ad.concat(tape, parts)
+    return ops.concat(parts)
 
 
-def _advance_neural(tape: Tape, params: ScorerParams, config: ScorerConfig,
-                    neural: _NeuralState, action: Action, action_idx: int,
-                    buffer_pos: int, c_vecs: list[Tensor]) -> _NeuralState:
-    """Mirror one symbolic action on the differentiable stack and history."""
-    p = params.t
+def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
+                    action: Action, action_idx: int, buffer_pos: int,
+                    c_vecs: list) -> _NeuralState:
+    """Mirror one symbolic action on the neural stack and history."""
+    p = ops.p
     stack = neural.stack
     kind = action.kind
     if kind is ActionKind.SHIFT:
-        vec = ad.affine(tape, p["proj_W"], c_vecs[buffer_pos], p["proj_b"])
-        stack = stack_push(tape, params, config, stack, vec)
+        vec = ops.affine(p["proj_W"], c_vecs[buffer_pos], p["proj_b"])
+        stack = stack_push(ops, config, stack, vec)
     elif kind is ActionKind.OUT:
         pass
     elif kind is ActionKind.COMPLETE:
         stack = stack_pop(stack)
     else:
         e0, e1 = stack[-1], stack[-2]
-        new_vec = compose(tape, params, e0.h, e1.h)
+        new_vec = compose(ops, e0.h, e1.h)
         stack = stack_pop(stack_pop(stack))
         if kind is ActionKind.LEFT_REDUCE:
             stack = stack + (e1,)
         elif kind is ActionKind.RIGHT_REDUCE:
-            stack = stack_push(tape, params, config, stack, e0.vec)
-        stack = stack_push(tape, params, config, stack, new_vec)
+            stack = stack_push(ops, config, stack, e0.vec)
+        stack = stack_push(ops, config, stack, new_vec)
 
-    A = config.action_dim
     if neural.act_h is None:
-        zero = ad.leaf(np.zeros(A))
+        zero = ops.zeros(config.action_dim)
         h_prev, c_prev = zero, zero
     else:
         h_prev, c_prev = neural.act_h, neural.act_c
-    emb = ad.row(tape, p["act_emb"], action_idx)
-    act_h, act_c = ad.lstm_cell(tape, p["act_W"], p["act_b"], emb, h_prev, c_prev)
+    emb = ops.row(p["act_emb"], action_idx)
+    act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], emb, h_prev, c_prev)
     return _NeuralState(stack, act_h, act_c)
 
 
@@ -335,29 +330,30 @@ def _advance_neural(tape: Tape, params: ScorerParams, config: ScorerConfig,
 # Rollouts: teacher-forced loss and greedy prediction
 # ---------------------------------------------------------------------------
 
-def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
-             config: ScorerConfig, tape: Tape,
+def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
              gold_actions: list[Action] | None = None):
     """Run the parser; teacher-forced when gold_actions is given, else greedy.
 
-    Returns (loss Tensor, final symbolic state).
+    Recorded ops build the tape a teacher-forced loss is differentiated on;
+    Forward ops run the same arithmetic on plain arrays. Returns the per-step
+    losses (empty when greedy) and the final symbolic state.
     """
-    p = params.t
+    p = ops.p
     n = len(sentence.tokens)
     actions = vocab.action_list()
     action_idx = {a: i for i, a in enumerate(actions)}
-    c_vecs, c_matrix = token_reps(sentence, params, vocab, config, tape)
+    c_vecs, c_matrix = token_reps(ops, sentence, vocab, config)
 
     state = initial_state(n)
     neural = _NeuralState()
-    losses: list[Tensor] = []
+    losses = []
     while not is_terminal(state, n):
         valid = valid_actions(state, n, vocab.types)
         valid_idx = sorted(action_idx[a] for a in valid)
-        buffer_matrix = (ad.rows_slice(tape, c_matrix, state.buffer_pos, n)
+        buffer_matrix = (ops.rows_slice(c_matrix, state.buffer_pos, n)
                          if c_matrix is not None and state.buffer_pos < n else None)
-        feat = encode_parser_state(tape, params, config, neural, buffer_matrix)
-        logits = ad.affine(tape, p["out_W"], feat, p["out_b"])
+        feat = encode_parser_state(ops, config, neural, buffer_matrix)
+        logits = ops.affine(p["out_W"], feat, p["out_b"])
         if gold_actions is not None:
             step = state.step_count
             if step >= len(gold_actions):
@@ -366,14 +362,13 @@ def _rollout(sentence: Sentence, params: ScorerParams, vocab: Vocab,
             if chosen not in valid:
                 raise CorpusError(f"gold action {chosen} invalid at step {step}")
             gold_pos = valid_idx.index(action_idx[chosen])
-            losses.append(ad.masked_nll(tape, logits, valid_idx, gold_pos))
+            losses.append(ops.masked_nll(logits, valid_idx, gold_pos))
         else:
-            chosen = actions[valid_idx[int(np.argmax(logits.data[valid_idx]))]]
-        neural = _advance_neural(tape, params, config, neural, chosen,
-                                 action_idx[chosen], state.buffer_pos, c_vecs)
+            chosen = actions[valid_idx[int(np.argmax(logits[valid_idx]))]]
+        neural = _advance_neural(ops, config, neural, chosen, action_idx[chosen],
+                                 state.buffer_pos, c_vecs)
         state = apply_action(state, chosen, n, vocab.types)
-    loss = ad.add_n(tape, losses) if losses else tape._node(np.asarray(0.0), None)
-    return loss, state
+    return losses, state
 
 
 def sentence_loss(sentence: Sentence, gold_actions: list[Action],
@@ -381,16 +376,17 @@ def sentence_loss(sentence: Sentence, gold_actions: list[Action],
                   config: ScorerConfig) -> tuple[Tensor, Tape]:
     """Sum of per-step NLL of gold actions under the valid-masked softmax."""
     tape = Tape()
-    loss, _ = _rollout(sentence, params, vocab, config, tape,
-                       gold_actions=gold_actions)
+    losses, _ = _rollout(ad.Recorded(tape, params.t), sentence, vocab, config,
+                         gold_actions)
+    loss = ad.add_n(tape, losses) if losses else tape._node(np.asarray(0.0), None)
     return loss, tape
 
 
 def predict(sentence: Sentence, params: ScorerParams, vocab: Vocab,
             config: ScorerConfig) -> frozenset[Mention]:
-    """Greedy argmax rollout, decoded into the output mention set."""
-    tape = Tape()
-    _, state = _rollout(sentence, params, vocab, config, tape)
+    """Greedy argmax rollout, decoded into the output mention set. It runs
+    forward only: no tape, no Tensor and no closure."""
+    _, state = _rollout(ad.Forward(params.arrays()), sentence, vocab, config)
     return frozenset(state.outputs)
 
 
@@ -488,10 +484,11 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     if len(sentence.tokens) == 0:
         return 0.0
     gold_actions, _ = oracle(sentence)
+    forward = ad.Forward(params.arrays())   # sees the in-place nudges below
 
     def loss_value() -> float:
-        loss, _ = sentence_loss(sentence, gold_actions, params, vocab, config)
-        return float(loss.data)
+        losses, _ = _rollout(forward, sentence, vocab, config, gold_actions)
+        return float(sum(losses))
 
     params.zero_grad()
     loss, tape = sentence_loss(sentence, gold_actions, params, vocab, config)

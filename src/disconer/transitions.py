@@ -11,6 +11,7 @@ tokens ends within 4n - 1 actions, so no step limit is needed.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +37,15 @@ class Action:
     def __post_init__(self):
         if (self.kind is ActionKind.COMPLETE) != (self.entity_type is not None):
             raise ValueError("entity_type is required exactly for COMPLETE actions")
+        # every step builds and probes sets of actions: hash once, here
+        object.__setattr__(self, "_hash", hash((self.kind, self.entity_type)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a string's hash differs between processes
+        return Action, (self.kind, self.entity_type)
 
     def __str__(self) -> str:
         if self.kind is ActionKind.COMPLETE:
@@ -50,6 +60,7 @@ LEFT_REDUCE = Action(ActionKind.LEFT_REDUCE)
 RIGHT_REDUCE = Action(ActionKind.RIGHT_REDUCE)
 
 
+@functools.lru_cache(maxsize=1024)
 def complete(entity_type: str) -> Action:
     return Action(ActionKind.COMPLETE, entity_type)
 
@@ -77,8 +88,7 @@ def valid_actions(state: ParserState, sentence_len: int,
     """The hard constraints: which actions may be taken from this state."""
     valid: set[Action] = set()
     if state.stack:
-        for t in type_set:
-            valid.add(complete(t))
+        valid.update(map(complete, type_set))
         if len(state.stack) >= 2:
             # reduces only apply to disjoint spans: the concatenation of
             # overlapping fragments has no canonical form

@@ -242,6 +242,28 @@ def test_train_prints_one_json_line_per_epoch(workdir):
                 assert f"epoch {r['epoch']} dev_f1 {r['dev_f1']:.4f}" in out.stdout
 
 
+def test_predict_prints_one_json_line(workdir):
+    """predict reports its throughput on stdout and nothing else."""
+    config = neural.ScorerConfig(word_dim=4, char_dim=3, char_filters=3, hidden_dim=4,
+                                 stack_dim=4, action_dim=3)
+    test = parse_inline((workdir / "test.txt").read_text())
+    vocab = neural.Vocab.build(test)
+    neural.save_checkpoint(str(workdir / "speed.bin"), neural.init_params(config, vocab),
+                           config, vocab)
+    out = run_cli("predict", "test.txt", "speed_pred.txt", "--checkpoint", "speed.bin",
+                  cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1, out.stdout
+    record = json.loads(lines[0])
+    assert set(record) == {"sentences", "tokens", "wall_s", "tokens_per_s"}
+    assert record["sentences"] == len(test) == 10
+    assert record["tokens"] == sum(len(s.tokens) for s in test)
+    assert record["wall_s"] > 0
+    assert record["tokens_per_s"] == pytest.approx(record["tokens"] / record["wall_s"])
+    assert len(parse_inline((workdir / "speed_pred.txt").read_text())) == 10
+
+
 def test_evaluate_refuses_different_tokens(workdir):
     gold = parse_inline((workdir / "test.txt").read_text())
     changed = Sentence(("x",) + gold.sentences[3].tokens[1:], gold.sentences[3].mentions)

@@ -193,7 +193,7 @@ def test_token_reps_shapes():
     params = init_params(CONFIG, VOCAB)
     s = CORPUS.sentences[0]
     tape = ad.Tape()
-    vecs, matrix = token_reps(s, params, VOCAB, CONFIG, tape)
+    vecs, matrix = token_reps(ad.Recorded(tape, params.t), s, VOCAB, CONFIG)
     assert len(vecs) == len(s.tokens)
     assert all(v.data.shape == (CONFIG.rep_dim,) for v in vecs)
     assert matrix.data.shape == (len(s.tokens), CONFIG.rep_dim)
@@ -204,9 +204,10 @@ def test_stack_push_pop_exact_restore():
     tape = ad.Tape()
     v1 = ad.leaf(np.ones(CONFIG.stack_dim))
     v2 = ad.leaf(np.full(CONFIG.stack_dim, 0.5))
-    stack = stack_push(tape, params, CONFIG, (), v1)
+    ops = ad.Recorded(tape, params.t)
+    stack = stack_push(ops, CONFIG, (), v1)
     before = stack[-1]
-    stack2 = stack_push(tape, params, CONFIG, stack, v2)
+    stack2 = stack_push(ops, CONFIG, stack, v2)
     restored = stack_pop(stack2)
     assert restored[-1] is before  # bitwise: the same entry object
     with pytest.raises(ValueError):
@@ -216,7 +217,7 @@ def test_stack_push_pop_exact_restore():
 def test_compose_shape():
     params = init_params(CONFIG, VOCAB)
     tape = ad.Tape()
-    out = compose(tape, params, ad.leaf(np.ones(CONFIG.stack_dim)),
+    out = compose(ad.Recorded(tape, params.t), ad.leaf(np.ones(CONFIG.stack_dim)),
                   ad.leaf(np.zeros(CONFIG.stack_dim)))
     assert out.data.shape == (CONFIG.stack_dim,)
 
@@ -523,3 +524,189 @@ def test_bench_tracer_hooks_resolve():
     assert grad_bytes < sum(t.data.nbytes for t in params.t.values())
     assert tracer.tapes == [tape]
     assert tracer.counts["transitions.apply"] == len(actions)
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    return tracer_mod.Tracer()
+
+
+def test_bench_tracer_splits_predict_without_a_tape():
+    """Under the benchmark's tracer, predict still splits into its layers,
+    records no tape and calls none of the wrapped autodiff ops."""
+    s = next(s for s in CORPUS if s.mentions)
+    params = init_params(CONFIG, VOCAB)
+    _, final = neural._rollout(ad.Forward(params.arrays()), s, VOCAB, CONFIG)
+    tracer = _load_tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        pred = predict(s, params, VOCAB, CONFIG)
+        tracer.active = False
+        tracer.close_all()
+    finally:
+        tracer.uninstall()
+    assert pred == frozenset(final.outputs)
+    names = {tracer.names[span[0]] for span in tracer.spans}
+    assert tracer.tapes == []
+    assert not any(name.startswith("autodiff.") for name in names), names
+    assert {"neural.token_reps", "neural.encode_parser_state", "neural.advance",
+            "transitions.apply"} <= names
+    assert tracer.counts["transitions.apply"] == final.step_count > len(s.tokens)
+
+
+def test_predict_constructs_no_tensor(monkeypatch):
+    made = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+    params = init_params(CONFIG, VOCAB)
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(neural, "Tape", lambda: pytest.fail("predict built a Tape"))
+    for s in list(CORPUS)[:5]:
+        predict(s, params, VOCAB, CONFIG)
+    assert made == []
+
+
+def test_backwarded_tape_is_freed_by_reference_counting():
+    """backward() drops every closure it ran, so nothing of a finished tape
+    waits for the cycle collector."""
+    import gc
+    import weakref
+    s = next(s for s in CORPUS if s.mentions)
+    params = init_params(CONFIG, VOCAB)
+    loss, tape = sentence_loss(s, oracle(s)[0], params, VOCAB, CONFIG)
+    refs = [weakref.ref(t) for t in tape.nodes]
+    ad.backward(tape, loss)
+    assert all(t._backward is None for t in tape.nodes)
+    gc.disable()
+    try:
+        del tape, loss
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_forward_kernels_match_the_tape_ops_bitwise():
+    """Each op of the forward-only set gives bitwise the .data of the tape op
+    of the same name, on random inputs."""
+    rng = np.random.default_rng(7)
+    fwd = ad.Forward({})
+
+    def arrays(*shapes):
+        return [rng.normal(size=shape) for shape in shapes]
+
+    for _ in range(25):
+        H, D, n = (int(k) for k in rng.integers(1, 7, size=3))
+        tape = ad.Tape()
+        rec = ad.Recorded(tape, {})
+        cases = {
+            "affine": arrays((H, D), (D,), (H,)),
+            "lstm_cell": arrays((4 * H, D + H), (4 * H,), (D,), (H,), (H,)),
+            "char_cnn": arrays((H, 3 * D), (H,), (n, D)),
+            "attend": arrays((H,), (H, D), (n, D)),
+            "rows_slice": arrays((n + 2, D)) + [1, n + 1],
+            "row": arrays((n, D)) + [n - 1],
+            "rows_lookup": arrays((n, D)) + [[n - 1, 0, n - 1]],
+        }
+        for name, args in cases.items():
+            const = [a for a in args if not isinstance(a, np.ndarray)]
+            leaves = [ad.leaf(a) for a in args if isinstance(a, np.ndarray)]
+            got = getattr(fwd, name)(*args)
+            want = getattr(rec, name)(*leaves, *const)
+            if name == "lstm_cell":
+                assert all(g.tobytes() == w.data.tobytes() for g, w in zip(got, want))
+            else:
+                assert got.tobytes() == want.data.tobytes(), name
+        parts = arrays((H,), (D,), (n,))
+        assert fwd.concat(parts).tobytes() == \
+            rec.concat([ad.leaf(p) for p in parts]).data.tobytes()
+        rows = arrays((D,), (D,), (D,))
+        assert fwd.stack_rows(rows).tobytes() == \
+            rec.stack_rows([ad.leaf(r) for r in rows]).data.tobytes()
+        logits = rng.normal(size=6)
+        assert fwd.masked_nll(logits, [0, 2, 5], 1).tobytes() == \
+            rec.masked_nll(ad.leaf(logits), [0, 2, 5], 1).data.tobytes()
+
+
+def test_fused_sigmoid_is_bitwise_three_calls():
+    rng = np.random.default_rng(3)
+    for H in range(1, 40):
+        gates = rng.normal(scale=8.0, size=3 * H)
+        parts = [ad._sigmoid(gates[k * H:(k + 1) * H]) for k in range(3)]
+        assert ad._sigmoid(gates).tobytes() == np.concatenate(parts).tobytes()
+
+
+# sha256 of the predictions written inline, computed with the taped greedy
+# rollout before predict ran forward-only; (attention, strict F1) beside it
+GOLDEN_PREDICTIONS = {
+    True: (0.3333, "95a8e4b3600bd860261f8ece5b676a28d2a950f0735009640386e281e2f98cba"),
+    False: (0.1455, "baa882091322249b5281535fa082ce3a36b11425cfec36a352fb5c4a621b6771"),
+}
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_predictions_match_the_golden_digest(attention):
+    import hashlib
+    from disconer.corpus import Corpus, write_inline
+    from disconer.evaluation import strict_prf
+    train_c, test_c = make_corpus(80, seed=41), make_corpus(30, seed=42)
+    config = ScorerConfig(hidden_dim=8, stack_dim=8, epochs=6, attention=attention)
+    params, vocab, _ = train(train_c, config)
+    preds = [predict(s, params, vocab, config) for s in test_c]
+    out = Corpus(tuple(
+        Sentence(s.tokens, tuple(sorted(p, key=lambda m: (m.fragments, m.entity_type))),
+                 sent_index=s.sent_index) for s, p in zip(test_c, preds)))
+    f1, digest = GOLDEN_PREDICTIONS[attention]
+    assert round(strict_prf([frozenset(s.mentions) for s in test_c], preds)[2], 4) == f1
+    assert hashlib.sha256(write_inline(out).encode("utf-8")).hexdigest() == digest
+
+
+def _unfused_lstm_reference(W, b, x, h, c, dh2, dc2):
+    """The LSTM step with one sigmoid call per gate, and its gradients."""
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+    H = c.shape[0]
+    xh = np.concatenate([x, h])
+    gates = W @ xh + b
+    i, f, o = (sigmoid(gates[k * H:(k + 1) * H]) for k in range(3))
+    g = np.tanh(gates[3 * H:])
+    c2 = f * c + i * g
+    tc = np.tanh(c2)
+    dc_total = np.zeros(H) if dc2 is None else dc2.copy()
+    if dh2 is not None:
+        do = dh2 * tc
+        dc_total += dh2 * o * (1.0 - tc * tc)
+    else:
+        do = np.zeros(H)
+    di, df, dg = dc_total * g, dc_total * c, dc_total * i
+    dgates = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f),
+                             do * o * (1.0 - o), dg * (1.0 - g * g)])
+    dxh = W.T @ dgates
+    grads = (np.outer(dgates, xh), dgates, dxh[:x.shape[0]], dxh[x.shape[0]:],
+             dc_total * f)
+    return tc * o, c2, grads
+
+
+def test_lstm_cell_matches_the_unfused_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        H, D = (int(k) for k in rng.integers(1, 9, size=2))
+        arrays = [rng.normal(scale=2.0, size=s)
+                  for s in ((4 * H, D + H), (4 * H,), (D,), (H,), (H,))]
+        dh2 = None if trial % 3 == 1 else rng.normal(size=H)
+        dc2 = None if trial % 3 == 2 else rng.normal(size=H)
+        h_ref, c_ref, grads_ref = _unfused_lstm_reference(*arrays, dh2, dc2)
+        leaves = [ad.leaf(a) for a in arrays]
+        tape = ad.Tape()
+        h2, c2 = ad.lstm_cell(tape, *leaves)
+        h2.grad, c2.grad = dh2, dc2
+        c2._backward()
+        assert h2.data.tobytes() == h_ref.tobytes() and c2.data.tobytes() == c_ref.tobytes()
+        for leaf, want in zip(leaves, grads_ref):
+            assert leaf.grad.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 """Tests for the shift-reduce machine, oracle, and traces."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ def test_action_strings():
         "SHIFT", "OUT", "REDUCE", "LREDUCE", "RREDUCE", "COMPLETE:ADR"]
     with pytest.raises(ValueError):
         Action(ActionKind.COMPLETE)  # entity type required
+
+
+def test_action_hash_and_equality():
+    a = complete("ADR")
+    assert complete("ADR") is a
+    assert Action(ActionKind.COMPLETE, "ADR") == a
+    assert hash(Action(ActionKind.COMPLETE, "ADR")) == hash(a) == hash((a.kind, "ADR"))
+    assert {SHIFT, OUT, a} == {Action(ActionKind.SHIFT), Action(ActionKind.OUT),
+                               Action(ActionKind.COMPLETE, "ADR")}
+    # unpickling rebuilds the action, and with it the hash of this process
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a) and copy in {a}
 
 
 def test_initial_state_and_terminal():
