@@ -22,10 +22,14 @@ The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _lstm_cell, _char_cnn, _attend, _masked_nll). A tape op calls its
 kernel and adds the backward closure. A rollout calls its ops through an op
 set: Recorded records them on a tape, Forward runs the kernels alone, with
-no Tape, no Tensor and no closure.
+no Tape, no Tensor and no closure. Recorded binds each op to its tape once,
+when the op set is built (functools.partial), so a call costs no extra
+Python frame.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,11 +37,11 @@ import numpy as np
 class Tensor:
     __slots__ = ("data", "grad", "rows", "_backward", "__weakref__")
 
-    def __init__(self, data, backward=None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.rows = None
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -55,8 +59,8 @@ class Tape:
         # table -> (row indices, row gradients) queued by the lookup closures
         self.lookups: dict[Tensor, tuple[list[int], list[np.ndarray]]] = {}
 
-    def _node(self, data, backward) -> Tensor:
-        t = Tensor(data, backward)
+    def _node(self, data) -> Tensor:
+        t = Tensor(data)
         self.nodes.append(t)
         return t
 
@@ -135,7 +139,7 @@ def clear_grad(t: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def add_n(tape: Tape, terms: list[Tensor]) -> Tensor:
-    out = tape._node(sum(t.data for t in terms), None)
+    out = tape._node(sum(t.data for t in terms))
 
     def back():
         if out.grad is None:
@@ -153,7 +157,7 @@ def _affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def affine(tape: Tape, W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     """W @ x + b."""
-    out = tape._node(_affine(W.data, x.data, b.data), None)
+    out = tape._node(_affine(W.data, x.data, b.data))
 
     def back():
         if out.grad is None:
@@ -168,7 +172,7 @@ def affine(tape: Tape, W: Tensor, x: Tensor, b: Tensor) -> Tensor:
 
 def concat(tape: Tape, parts: list[Tensor]) -> Tensor:
     sizes = [p.data.shape[0] for p in parts]
-    out = tape._node(np.concatenate([p.data for p in parts]), None)
+    out = tape._node(np.concatenate([p.data for p in parts]))
 
     def back():
         if out.grad is None:
@@ -187,7 +191,7 @@ def concat(tape: Tape, parts: list[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def stack_rows(tape: Tape, rows: list[Tensor]) -> Tensor:
-    out = tape._node(np.stack([r.data for r in rows]), None)
+    out = tape._node(np.stack([r.data for r in rows]))
 
     def back():
         if out.grad is None:
@@ -200,7 +204,7 @@ def stack_rows(tape: Tape, rows: list[Tensor]) -> Tensor:
 
 
 def rows_slice(tape: Tape, M: Tensor, start: int, stop: int) -> Tensor:
-    out = tape._node(M.data[start:stop], None)
+    out = tape._node(M.data[start:stop])
 
     def back():
         if out.grad is None:
@@ -215,7 +219,7 @@ def rows_slice(tape: Tape, M: Tensor, start: int, stop: int) -> Tensor:
 
 def row(tape: Tape, table: Tensor, index: int) -> Tensor:
     """table.data[index]; table must be a parameter leaf (row-sparse grad)."""
-    out = tape._node(table.data[index], None)
+    out = tape._node(table.data[index])
     lookups = tape.lookups
 
     def back():
@@ -228,7 +232,7 @@ def row(tape: Tape, table: Tensor, index: int) -> Tensor:
 
 def rows_lookup(tape: Tape, table: Tensor, indices: list[int]) -> Tensor:
     """table.data[indices]; table must be a parameter leaf (row-sparse grad)."""
-    out = tape._node(table.data[np.asarray(indices, dtype=np.intp)], None)
+    out = tape._node(table.data[np.asarray(indices, dtype=np.intp)])
     lookups = tape.lookups
 
     def back():
@@ -271,8 +275,8 @@ def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
     H = c.data.shape[0]
     h2_data, c2_data, xh, sig, g, tc = _lstm_cell(W.data, b.data, x.data, h.data, c.data)
     i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
-    h2 = tape._node(h2_data, None)
-    c2 = tape._node(c2_data, None)
+    h2 = tape._node(h2_data)
+    c2 = tape._node(c2_data)
 
     def back():
         dh2 = h2.grad
@@ -331,7 +335,7 @@ def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor) -> Tensor:
     window = filters.data.shape[1] // char_dim
     length = emb.data.shape[0]
     out_data, windows, best = _char_cnn(filters.data, bias.data, emb.data)
-    out = tape._node(out_data, None)
+    out = tape._node(out_data)
 
     def back():
         if out.grad is None:
@@ -364,13 +368,11 @@ def _attend(query: np.ndarray, W: np.ndarray, B: np.ndarray):
 def attend(tape: Tape, query: Tensor, W: Tensor, B: Tensor) -> Tensor:
     """Multiplicative attention: softmax(query^T W B^T) B.
 
-    query: (S,), W: (S, R), B: (n, R). Returns the weighted sum of buffer
-    rows (R,); the zero vector when the buffer is empty.
+    query: (S,), W: (S, R), B: (n, R) with n >= 1. Returns the weighted sum
+    of buffer rows (R,).
     """
-    if B.data.shape[0] == 0:
-        return tape._node(np.zeros(W.data.shape[1]), None)
     out_data, u, w = _attend(query.data, W.data, B.data)
-    out = tape._node(out_data, None)
+    out = tape._node(out_data)
 
     def back():
         if out.grad is None:
@@ -404,7 +406,7 @@ def _masked_nll(logits: np.ndarray, valid_idx: list[int], gold_pos: int):
 def masked_nll(tape: Tape, logits: Tensor, valid_idx: list[int], gold_pos: int) -> Tensor:
     """-log softmax(logits[valid_idx])[gold_pos]; invalid actions are masked out."""
     loss, idx, z, lse = _masked_nll(logits.data, valid_idx, gold_pos)
-    out = tape._node(loss, None)
+    out = tape._node(loss)
 
     def back():
         if out.grad is None:
@@ -435,30 +437,21 @@ def masked_softmax(logits: np.ndarray, valid_idx: list[int]) -> np.ndarray:
 
 class Recorded:
     """The ops of a rollout that is differentiated: Tensors on `tape`. Each
-    op method calls the module's op of the same name, looked up when called,
-    so a wrapper installed on the module sees every op. `p` maps parameter
-    names to their leaf Tensors."""
-    __slots__ = ("tape", "p")
+    op is the module's op of the same name with `tape` bound, looked up when
+    the op set is built, so a wrapper installed on the module before then
+    sees every op. `p` maps parameter names to their leaf Tensors."""
+    _OPS = ("row", "rows_lookup", "rows_slice", "concat", "stack_rows", "affine",
+            "lstm_cell", "char_cnn", "attend", "masked_nll")
+    __slots__ = ("p",) + _OPS
 
     def __init__(self, tape: Tape, p: dict[str, Tensor]):
-        self.tape, self.p = tape, p
+        self.p = p
+        for name in self._OPS:
+            setattr(self, name, functools.partial(globals()[name], tape))
 
     @staticmethod
     def zeros(n: int) -> Tensor:
         return leaf(np.zeros(n))
-
-
-def _recorded(name: str):
-    def op(self, *args):
-        return globals()[name](self.tape, *args)
-    op.__name__, op.__qualname__ = name, f"Recorded.{name}"
-    return op
-
-
-for _name in ("row", "rows_lookup", "rows_slice", "concat", "stack_rows", "affine",
-              "lstm_cell", "char_cnn", "attend", "masked_nll"):
-    setattr(Recorded, _name, _recorded(_name))
-del _name
 
 
 class Forward:

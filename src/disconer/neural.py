@@ -83,6 +83,11 @@ class Vocab:
     def __post_init__(self):
         object.__setattr__(self, "_word_idx", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_char_idx", {c: i for i, c in enumerate(self.chars)})
+        # the scorer's output rows and action embeddings, in this order
+        actions = (SHIFT, OUT, REDUCE, LEFT_REDUCE, RIGHT_REDUCE,
+                   *map(complete, self.types))
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "action_index", {a: i for i, a in enumerate(actions)})
 
     @staticmethod
     def build(corpus: Corpus) -> "Vocab":
@@ -105,10 +110,6 @@ class Vocab:
     def char_indices(self, word: str) -> list[int]:
         unk = self._char_idx[UNK]
         return [self._char_idx.get(c, unk) for c in word]
-
-    def action_list(self) -> list[Action]:
-        return [SHIFT, OUT, REDUCE, LEFT_REDUCE, RIGHT_REDUCE] + \
-            [complete(t) for t in self.types]
 
 
 class ScorerParams:
@@ -134,7 +135,7 @@ class ScorerParams:
 def _shapes(config: ScorerConfig, vocab: Vocab) -> dict[str, tuple[int, ...]]:
     in_dim = config.word_dim + config.char_filters
     H, S, A = config.hidden_dim, config.stack_dim, config.action_dim
-    n_actions = len(vocab.action_list())
+    n_actions = len(vocab.actions)
     return {
         "word_emb": (len(vocab.words), config.word_dim),
         "char_emb": (len(vocab.chars), config.char_dim),
@@ -253,8 +254,8 @@ def compose(ops: Ops, s0, s1):
 
 
 def attend(ops: Ops, s_vec, buffer_matrix, W_a):
-    """Weighted sum of buffer rows; the zero vector on an empty buffer."""
-    if buffer_matrix is None or buffer_matrix.shape[0] == 0:
+    """Weighted sum of buffer rows; the zero vector on an empty buffer (None)."""
+    if buffer_matrix is None:
         return ops.zeros(W_a.shape[1])
     return ops.attend(s_vec, W_a, buffer_matrix)
 
@@ -340,8 +341,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
     """
     p = ops.p
     n = len(sentence.tokens)
-    actions = vocab.action_list()
-    action_idx = {a: i for i, a in enumerate(actions)}
+    actions, action_idx = vocab.actions, vocab.action_index
     c_vecs, c_matrix = token_reps(ops, sentence, vocab, config)
 
     state = initial_state(n)
@@ -351,7 +351,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
         valid = valid_actions(state, n, vocab.types)
         valid_idx = sorted(action_idx[a] for a in valid)
         buffer_matrix = (ops.rows_slice(c_matrix, state.buffer_pos, n)
-                         if c_matrix is not None and state.buffer_pos < n else None)
+                         if state.buffer_pos < n else None)
         feat = encode_parser_state(ops, config, neural, buffer_matrix)
         logits = ops.affine(p["out_W"], feat, p["out_b"])
         if gold_actions is not None:
@@ -367,7 +367,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
             chosen = actions[valid_idx[int(np.argmax(logits[valid_idx]))]]
         neural = _advance_neural(ops, config, neural, chosen, action_idx[chosen],
                                  state.buffer_pos, c_vecs)
-        state = apply_action(state, chosen, n, vocab.types)
+        state = apply_action(state, chosen)
     return losses, state
 
 
@@ -378,7 +378,7 @@ def sentence_loss(sentence: Sentence, gold_actions: list[Action],
     tape = Tape()
     losses, _ = _rollout(ad.Recorded(tape, params.t), sentence, vocab, config,
                          gold_actions)
-    loss = ad.add_n(tape, losses) if losses else tape._node(np.asarray(0.0), None)
+    loss = ad.add_n(tape, losses) if losses else tape._node(np.asarray(0.0))
     return loss, tape
 
 
@@ -500,11 +500,10 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     # and numeric, so it tests nothing: the guaranteed coordinate of each
     # lookup table is taken from a row the sentence reads (its tokens' words
     # and characters, the oracle's actions).
-    actions = vocab.action_list()
     used_rows = {
         "word_emb": {vocab.word_index(tok) for tok in sentence.tokens},
         "char_emb": {c for tok in sentence.tokens for c in vocab.char_indices(tok)},
-        "act_emb": {actions.index(a) for a in gold_actions},
+        "act_emb": {vocab.action_index[a] for a in gold_actions},
     }
     rng = np.random.default_rng(seed)
     coords: list[tuple[str, tuple[int, ...]]] = []

@@ -65,24 +65,6 @@ def to_conll(sentence: Sentence, tags: TagSequence) -> str:
 # BIOHD
 # ---------------------------------------------------------------------------
 
-def _token_roles(sentence: Sentence) -> list[str]:
-    """Per-token indicator class: 'H' shared, 'D' exclusive disc, 'C' flat, 'O'."""
-    n = len(sentence.tokens)
-    owners: list[list[Mention]] = [[] for _ in range(n)]
-    for m in sentence.mentions:
-        for t in m.token_set():
-            owners[t].append(m)
-    roles = []
-    for t in range(n):
-        if len(owners[t]) >= 2:
-            roles.append("H")
-        elif len(owners[t]) == 1:
-            roles.append("D" if owners[t][0].is_discontinuous else "C")
-        else:
-            roles.append("O")
-    return roles
-
-
 def encode_biohd(sentence: Sentence) -> TagSequence:
     """Encode with the BH/IH/BD/ID extension.
 
@@ -97,11 +79,18 @@ def encode_biohd(sentence: Sentence) -> TagSequence:
 
 def _encode_roles(sentence: Sentence) -> TagSequence:
     n = len(sentence.tokens)
-    roles = _token_roles(sentence)
     owners: list[list[Mention]] = [[] for _ in range(n)]
     for m in sentence.mentions:
         for t in m.token_set():
             owners[t].append(m)
+    roles = []  # per token: 'H' shared, 'D' exclusive disc, 'C' flat, 'O'
+    for ms in owners:
+        if len(ms) >= 2:
+            roles.append("H")
+        elif ms:
+            roles.append("D" if ms[0].is_discontinuous else "C")
+        else:
+            roles.append("O")
     tags = []
     for t in range(n):
         role = roles[t]

@@ -29,7 +29,7 @@ class ActionKind(Enum):
     RIGHT_REDUCE = "RREDUCE"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Action:
     kind: ActionKind
     entity_type: str | None = None
@@ -108,11 +108,12 @@ class InvalidActionError(ValueError):
         self.step = step
 
 
-def apply(state: ParserState, action: Action, sentence_len: int,
-          type_set: tuple[str, ...] | list[str]) -> ParserState:
-    """Apply one action, returning the successor state."""
-    if action not in valid_actions(state, sentence_len, type_set):
-        raise InvalidActionError(action, state.step_count)
+def apply(state: ParserState, action: Action) -> ParserState:
+    """The successor state after an action taken from valid_actions(state, ...).
+
+    Unchecked here: decode, trace and the teacher-forced rollout check the
+    actions they are given before they apply them.
+    """
     steps = state.step_count + 1
     kind = action.kind
     if kind is ActionKind.SHIFT:
@@ -139,15 +140,17 @@ def decode(actions: list[Action], sentence_len: int,
            type_set: tuple[str, ...] | list[str] | None = None) -> frozenset[Mention]:
     """Run the action sequence and return its unique mention set.
 
-    Raises on any invalid action (with the step index) or on a non-terminal
-    final state. Duplicate COMPLETE outputs collapse: strict-match
-    evaluation is set-based.
+    Raises InvalidActionError on any invalid action (with the step index)
+    and CorpusError on a non-terminal final state. Duplicate COMPLETE
+    outputs collapse: strict-match evaluation is set-based.
     """
     if type_set is None:
         type_set = sorted({a.entity_type for a in actions if a.entity_type})
     state = initial_state(sentence_len)
     for action in actions:
-        state = apply(state, action, sentence_len, type_set)
+        if action not in valid_actions(state, sentence_len, type_set):
+            raise InvalidActionError(action, state.step_count)
+        state = apply(state, action)
     if not is_terminal(state, sentence_len):
         raise CorpusError("action sequence ends in a non-terminal state")
     return frozenset(state.outputs)
@@ -316,7 +319,8 @@ class TraceReport:
 
 
 def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
-    """Step-by-step record of a rollout: stack contents, buffer, valid set."""
+    """Step-by-step record of a rollout: stack contents, buffer, valid set.
+    Raises InvalidActionError on an action outside the valid set."""
     n = len(sentence.tokens)
     type_set = sorted({a.entity_type for a in actions if a.entity_type}
                       | {m.entity_type for m in sentence.mentions})
@@ -324,6 +328,8 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
     steps = []
     for i, action in enumerate(actions):
         valid = valid_actions(state, n, type_set)
+        if action not in valid:
+            raise InvalidActionError(action, state.step_count)
         stack_strs = tuple(
             " ".join(sentence.tokens[t] for f in span for t in f.tokens())
             for span in state.stack)
@@ -334,5 +340,5 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
             valid=tuple(sorted(str(a) for a in valid)),
             chosen=str(action),
         ))
-        state = apply(state, action, n, type_set)
+        state = apply(state, action)
     return TraceReport(tuple(steps))

@@ -81,7 +81,7 @@ def test_criterion_03_unambiguous_decoding_10k():
             va = sorted(valid_actions(state, n, types), key=str)
             a = va[int(rng.integers(len(va)))]
             actions.append(a)
-            state = apply(state, a, n, types)
+            state = apply(state, a)
         stepwise = frozenset(state.outputs)
         if decode(actions, n, types) != stepwise:
             ok = False

@@ -22,7 +22,7 @@ from disconer.neural import (ScorerConfig, ScorerParams, Vocab, attend,
                              sentence_loss, sgd_step, stack_pop, stack_push,
                              token_reps, train)
 from disconer.synth import make_corpus
-from disconer.transitions import oracle
+from disconer.transitions import REDUCE, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,7 @@ def test_attend_weights_and_empty_buffer():
     w = ad.attention_weights(q, W, B)
     assert w.shape == (5,)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    tape = ad.Tape()
-    empty = ad.attend(tape, ad.leaf(q), ad.leaf(W), ad.leaf(np.zeros((0, 3))))
+    empty = attend(ad.Recorded(ad.Tape(), {}), ad.leaf(q), None, ad.leaf(W))
     assert np.array_equal(empty.data, np.zeros(3))
 
 
@@ -232,6 +231,14 @@ def test_sentence_loss_positive_and_finite():
     assert any(t.grad is not None and np.abs(t.grad).sum() > 0 for t in params.t.values())
 
 
+def test_sentence_loss_rejects_an_invalid_gold_action():
+    params = init_params(CONFIG, VOCAB)
+    s = next(s for s in CORPUS if s.mentions)
+    actions, _ = oracle(s)
+    with pytest.raises(CorpusError, match="gold action REDUCE invalid at step 0"):
+        sentence_loss(s, [REDUCE] + actions, params, VOCAB, CONFIG)
+
+
 def test_finite_diff_small():
     params = init_params(CONFIG, VOCAB)
     s = next(s for s in CORPUS if 0 < len(s.tokens) <= 6)
@@ -290,10 +297,9 @@ def _one_backward(s):
 def test_lookup_tables_get_one_gradient_row_per_row_read():
     s = next(s for s in CORPUS if s.mentions and len(set(s.tokens)) < len(s.tokens))
     params, actions = _one_backward(s)
-    all_actions = VOCAB.action_list()
     read = {"word_emb": [VOCAB.word_index(tok) for tok in s.tokens],
             "char_emb": [c for tok in s.tokens for c in VOCAB.char_indices(tok)],
-            "act_emb": [all_actions.index(a) for a in actions]}
+            "act_emb": [VOCAB.actions.index(a) for a in actions]}
     for name in LOOKUP_TABLES:
         t = params.t[name]
         assert t.rows.tolist() == sorted(set(read[name])), name
@@ -556,6 +562,28 @@ def test_bench_tracer_splits_predict_without_a_tape():
     assert {"neural.token_reps", "neural.encode_parser_state", "neural.advance",
             "transitions.apply"} <= names
     assert tracer.counts["transitions.apply"] == final.step_count > len(s.tokens)
+
+
+def test_rollouts_check_each_step_once():
+    """Training and predict compute the valid set once per applied action."""
+    params = init_params(CONFIG, VOCAB)
+    sents = [s for s in CORPUS if s.mentions][:3]
+    tracer = _load_tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        for s in sents:
+            loss, tape = neural.sentence_loss(s, oracle(s)[0], params, VOCAB, CONFIG)
+            neural.backward(tape, loss)
+            neural.sgd_step(params, CONFIG.learning_rate)
+            predict(s, params, VOCAB, CONFIG)
+        tracer.active = False
+        tracer.close_all()
+    finally:
+        tracer.uninstall()
+    applied = tracer.counts["transitions.apply"]
+    assert applied > 2 * sum(len(s.tokens) for s in sents)
+    assert tracer.counts["transitions.valid_actions"] == applied
 
 
 def test_predict_constructs_no_tensor(monkeypatch):

@@ -40,6 +40,14 @@ def test_action_hash_and_equality():
     assert copy == a and hash(copy) == hash(a) and copy in {a}
 
 
+def test_actions_have_no_order():
+    # nothing sorts actions, and actions of different kinds cannot be ordered
+    with pytest.raises(TypeError):
+        complete("A") < complete("B")
+    with pytest.raises(TypeError):
+        SHIFT < OUT
+
+
 def test_initial_state_and_terminal():
     state = initial_state(4)
     assert state.buffer_pos == 0 and state.stack == ()
@@ -50,10 +58,10 @@ def test_initial_state_and_terminal():
 
 def test_valid_actions_stack_depth_rules():
     types = ["ADR"]
-    state = apply(initial_state(2), SHIFT, 2, types)
+    state = apply(initial_state(2), SHIFT)
     va = valid_actions(state, 2, types)
     assert complete("ADR") in va and REDUCE not in va
-    state = apply(state, SHIFT, 2, types)
+    state = apply(state, SHIFT)
     va = valid_actions(state, 2, types)
     assert {REDUCE, LEFT_REDUCE, RIGHT_REDUCE, complete("ADR")} <= va
     assert SHIFT not in va  # buffer exhausted
@@ -65,40 +73,38 @@ def test_reduce_invalid_on_overlapping_spans():
     types = ["ADR"]
     state = initial_state(2)
     for a in (SHIFT, SHIFT, LEFT_REDUCE):
-        state = apply(state, a, 2, types)
+        state = apply(state, a)
     va = valid_actions(state, 2, types)
     assert REDUCE not in va and LEFT_REDUCE not in va and RIGHT_REDUCE not in va
     assert complete("ADR") in va
 
 
 def test_apply_semantics():
-    types = ["ADR"]
-    state = apply(initial_state(3), SHIFT, 3, types)
+    state = apply(initial_state(3), SHIFT)
     assert state.stack[-1] == (Fragment(0, 1),)
-    state = apply(state, OUT, 3, types)
+    state = apply(state, OUT)
     assert state.buffer_pos == 2
-    state = apply(state, SHIFT, 3, types)
-    state = apply(state, REDUCE, 3, types)
+    state = apply(state, SHIFT)
+    state = apply(state, REDUCE)
     assert state.stack[-1] == (Fragment(0, 1), Fragment(2, 3))
-    state = apply(state, complete("ADR"), 3, types)
+    state = apply(state, complete("ADR"))
     assert state.outputs == (Mention("ADR", (Fragment(0, 1), Fragment(2, 3))),)
     assert is_terminal(state, 3)
 
 
 def test_left_and_right_reduce_keep_spans():
-    types = ["ADR"]
     s = initial_state(4)
     for a in (SHIFT, OUT, SHIFT):
-        s = apply(s, a, 4, types)
-    left = apply(s, LEFT_REDUCE, 4, types)
+        s = apply(s, a)
+    left = apply(s, LEFT_REDUCE)
     assert left.stack == ((Fragment(0, 1),), (Fragment(0, 1), Fragment(2, 3)))
-    right = apply(s, RIGHT_REDUCE, 4, types)
+    right = apply(s, RIGHT_REDUCE)
     assert right.stack == ((Fragment(2, 3),), (Fragment(0, 1), Fragment(2, 3)))
 
 
 def test_invalid_action_raises_with_step():
     with pytest.raises(InvalidActionError) as exc:
-        apply(initial_state(2), REDUCE, 2, ["ADR"])
+        decode([REDUCE], 2, ["ADR"])
     assert exc.value.step == 0
 
 
@@ -113,7 +119,7 @@ def test_longest_rollout_is_under_4n_steps():
         if key not in memo:
             assert key not in open_keys, "an action sequence revisits a state"
             open_keys.add(key)
-            memo[key] = max((1 + longest_from(apply(state, a, n, types), n, memo, open_keys)
+            memo[key] = max((1 + longest_from(apply(state, a), n, memo, open_keys)
                              for a in valid_actions(state, n, types)), default=0)
             open_keys.remove(key)
         return memo[key]
@@ -149,7 +155,7 @@ def test_figure2_sequence_found_by_exhaustive_search():
                 found.append(tuple(seq))
             return
         for a in sorted(valid_actions(state, 4, types), key=str):
-            dfs(apply(state, a, 4, types), seq + [a])
+            dfs(apply(state, a), seq + [a])
 
     dfs(initial_state(4), [])
     oracle_actions, _ = oracle(FIG2)
@@ -236,6 +242,14 @@ def test_trace_figure2():
     assert "LREDUCE" in report.to_text()
 
 
+def test_trace_rejects_invalid_action():
+    actions, _ = oracle(FIG2)
+    bad = actions[:2] + [complete("ADR"), REDUCE] + actions[4:]
+    with pytest.raises(InvalidActionError) as exc:
+        trace(FIG2, bad)
+    assert exc.value.step == 3 and exc.value.action == REDUCE
+
+
 def test_random_rollouts_always_terminate():
     rng = np.random.default_rng(0)
     types = ["A", "B"]
@@ -245,7 +259,7 @@ def test_random_rollouts_always_terminate():
         steps = 0
         while not is_terminal(state, n):
             va = sorted(valid_actions(state, n, types), key=str)
-            state = apply(state, va[int(rng.integers(len(va)))], n, types)
+            state = apply(state, va[int(rng.integers(len(va)))])
             steps += 1
             assert steps < 4 * max(n, 1)
 
@@ -261,9 +275,8 @@ def test_oracle_decode_round_trip_on_arbitrary_mentions(s):
     n = len(s.tokens)
     assert uncovered <= frozenset(s.mentions)
     assert decode(actions, n) == frozenset(s.mentions) - uncovered
-    types = sorted({m.entity_type for m in s.mentions})
     state = initial_state(n)
     for a in actions:
-        state = apply(state, a, n, types)
+        state = apply(state, a)
     assert is_terminal(state, n)
     assert state.step_count == len(actions)
