@@ -72,6 +72,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _accum_at(t: Tensor, index, g: np.ndarray) -> None:
+    """t.grad[index] += g, on a zero gradient of t's shape when t has none."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[index] += g
+
+
 def leaf(data) -> Tensor:
     return Tensor(data)
 
@@ -209,9 +216,7 @@ def rows_slice(tape: Tape, M: Tensor, start: int, stop: int) -> Tensor:
     def back():
         if out.grad is None:
             return
-        if M.grad is None:
-            M.grad = np.zeros_like(M.data)
-        M.grad[start:stop] += out.grad
+        _accum_at(M, slice(start, stop), out.grad)
 
     out._backward = back
     return out
@@ -343,13 +348,11 @@ def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor) -> Tensor:
         _accum(bias, out.grad)
         dfilters = out.grad[:, None] * windows[best]
         _accum(filters, dfilters)
-        if emb.grad is None:
-            emb.grad = np.zeros_like(emb.data)
         dpadded = np.zeros((max(length, window), char_dim))
         for k in range(n_filters):
             p = best[k]
             dpadded[p:p + window] += (out.grad[k] * filters.data[k]).reshape(window, char_dim)
-        emb.grad += dpadded[:length]
+        _accum_at(emb, ..., dpadded[:length])
 
     out._backward = back
     return out
@@ -413,9 +416,7 @@ def masked_nll(tape: Tape, logits: Tensor, valid_idx: list[int], gold_pos: int) 
             return
         p = np.exp(z - lse)
         p[gold_pos] -= 1.0
-        if logits.grad is None:
-            logits.grad = np.zeros_like(logits.data)
-        logits.grad[idx] += float(out.grad) * p
+        _accum_at(logits, idx, float(out.grad) * p)
 
     out._backward = back
     return out

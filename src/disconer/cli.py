@@ -125,17 +125,16 @@ def cmd_oracle_check(args) -> int:
     total = 0
     nested: list[int] = []
     uncovered_by_cat: dict[str, int] = {}
-    for sent in corpus:
+    for i, sent in enumerate(corpus):
         total += len(sent.mentions)
         try:
             actions, uncovered = transitions.oracle(sent)
         except CorpusError:
-            nested.append(sent.sent_index)
+            nested.append(i)
             continue
         derived = transitions.decode(actions, len(sent.tokens))
         if derived != frozenset(sent.mentions) - uncovered:
-            print(f"error: oracle round-trip mismatch in sentence {sent.sent_index}")
-            return 1
+            raise CorpusError(f"oracle round-trip mismatch in sentence {i}")
         covered += len(sent.mentions) - len(uncovered)
         for m in uncovered:
             cat = (corpus_mod.overlap_category(m, list(sent.mentions)).value
@@ -216,9 +215,7 @@ def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     for sent in corpus:
         pred = neural.predict(sent, params, vocab, config)
-        sentences.append(corpus_mod.Sentence(sent.tokens, tuple(sorted(
-            pred, key=lambda m: (m.fragments, m.entity_type))),
-            sent_index=sent.sent_index))
+        sentences.append(corpus_mod.Sentence(sent.tokens, tuple(pred)))
     wall = time.perf_counter() - t0
     write_corpus(Corpus(tuple(sentences)), args.output, "inline")
     tokens = sum(len(s.tokens) for s in corpus)

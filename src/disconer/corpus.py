@@ -99,7 +99,6 @@ class Mention:
 class Sentence:
     tokens: tuple[str, ...]
     mentions: tuple[Mention, ...]
-    sent_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -196,7 +195,6 @@ def parse_inline(text: str) -> Corpus:
     sentences = []
     lines = text.split("\n")
     i = 0
-    sent_index = 0
     while i < len(lines):
         if lines[i] == "":
             i += 1
@@ -218,10 +216,9 @@ def parse_inline(text: str) -> Corpus:
                     frags.append(Fragment(int(s), int(e)))
                 mentions.append(Mention(match.group(2), tuple(frags)))
         try:
-            sentences.append(Sentence(tuple(tokens), tuple(mentions), sent_index=sent_index))
+            sentences.append(Sentence(tuple(tokens), tuple(mentions)))
         except CorpusError as exc:
             raise CorpusError(str(exc), line=i + 1) from exc
-        sent_index += 1
         i += 2
     return Corpus(tuple(sentences))
 
@@ -321,11 +318,9 @@ def parse_standoff(text_file: str, ann_file: str) -> tuple[Corpus, list[str]]:
         if mention not in sent_mentions[si]:
             sent_mentions[si].append(mention)
 
-    sentences = []
-    for si, toks in enumerate(sent_tokens):
-        sentences.append(Sentence(tuple(t for t, _, _ in toks), tuple(sent_mentions[si]),
-                                  sent_index=si))
-    return Corpus(tuple(sentences)), warnings
+    sentences = tuple(Sentence(tuple(t for t, _, _ in toks), tuple(mentions))
+                      for toks, mentions in zip(sent_tokens, sent_mentions))
+    return Corpus(sentences), warnings
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +428,7 @@ def flatten_for_flat_model(corpus: Corpus) -> Corpus:
             Mention(max(set(types), key=lambda t: (types.count(t), -types.index(t))),
                     (Fragment(start, end),))
             for start, end, types in groups)
-        new_sentences.append(Sentence(sent.tokens, merged, sent_index=sent.sent_index))
+        new_sentences.append(Sentence(sent.tokens, merged))
     return Corpus(tuple(new_sentences))
 
 
@@ -451,8 +446,9 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
     others. OVER_SAMPLE duplicates discontinuous sentences until counts
     balance. Deterministic given the seed.
     """
-    disc = [s for s in corpus if s.discontinuous_mentions()]
-    rest = [s for s in corpus if not s.discontinuous_mentions()]
+    disc, rest = [], []
+    for s in corpus:
+        (disc if s.discontinuous_mentions() else rest).append(s)
     if mode is ResampleMode.DISC_ONLY:
         return Corpus(tuple(disc))
     if not disc:
@@ -464,12 +460,6 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
         kept = disc + [rest[i] for i in chosen_idx]
         return Corpus(tuple(kept))
     if mode is ResampleMode.OVER_SAMPLE:
-        out = list(rest)
-        target = max(len(rest), len(disc))
-        i = 0
-        copies = []
-        while len(copies) < target:
-            copies.append(disc[i % len(disc)])
-            i += 1
-        return Corpus(tuple(copies + out))
+        copies = [disc[i % len(disc)] for i in range(max(len(rest), len(disc)))]
+        return Corpus(tuple(copies + rest))
     raise ValueError(f"unknown mode {mode}")

@@ -16,6 +16,7 @@ from .corpus import Category, Mention, overlap_category
 
 GoldPred = list[frozenset[Mention]]
 
+# indexed by length - 1 and by interval length, the last bucket open-ended
 MENTION_LENGTH_BUCKETS = ("1", "2", "3", "4", "5+")
 INTERVAL_LENGTH_BUCKETS = ("0", "1", "2", "3", "4+")
 
@@ -90,15 +91,6 @@ def eval_by_category(gold: GoldPred, pred: GoldPred) -> dict[Category, dict]:
     return table
 
 
-def _mention_length_bucket(m: Mention) -> str:
-    return str(m.length) if m.length < 5 else "5+"
-
-
-def _interval_length_bucket(m: Mention) -> str:
-    k = m.interval_length
-    return str(k) if k < 4 else "4+"
-
-
 def recall_by_length(gold: GoldPred, pred: GoldPred) -> dict[str, dict[str, dict]]:
     """Recall bucketed by mention length and by interval length.
 
@@ -110,8 +102,9 @@ def recall_by_length(gold: GoldPred, pred: GoldPred) -> dict[str, dict[str, dict
     for g, p in zip(gold, pred):
         for m in g:
             hit = int(m in p)
-            for key, bucket in (("mention_length", _mention_length_bucket(m)),
-                                ("interval_length", _interval_length_bucket(m))):
+            for key, bucket in (
+                    ("mention_length", MENTION_LENGTH_BUCKETS[min(m.length, 5) - 1]),
+                    ("interval_length", INTERVAL_LENGTH_BUCKETS[min(m.interval_length, 4)])):
                 out[key][bucket]["gold"] += 1
                 out[key][bucket]["matched"] += hit
     for table in out.values():

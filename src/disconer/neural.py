@@ -28,10 +28,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .corpus import Corpus, CorpusError, Mention, Sentence
-from .transitions import (Action, ActionKind, LEFT_REDUCE, OUT, REDUCE,
-                          RIGHT_REDUCE, SHIFT, complete, initial_state,
-                          is_terminal, apply as apply_action, oracle,
-                          valid_actions)
+from .transitions import (Action, ActionKind, LEFT_REDUCE, OUT, ParserState,
+                          REDUCE, RIGHT_REDUCE, SHIFT, complete, is_terminal,
+                          apply as apply_action, oracle, valid_actions)
 
 UNK = "<unk>"
 # what a rollout calls its ops on: a tape when it trains, plain arrays when not
@@ -164,9 +163,10 @@ def _shapes(config: ScorerConfig, vocab: Vocab) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_params(config: ScorerConfig, vocab: Vocab, seed: int | None = None) -> ScorerParams:
-    """Uniform init in [-r, r] with r = sqrt(6 / (fan_in + fan_out))."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def init_params(config: ScorerConfig, vocab: Vocab) -> ScorerParams:
+    """Uniform init in [-r, r] with r = sqrt(6 / (fan_in + fan_out)), drawn
+    from config.seed."""
+    rng = np.random.default_rng(config.seed)
     tensors = {}
     for name, shape in _shapes(config, vocab).items():
         if len(shape) == 2:
@@ -344,7 +344,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
     actions, action_idx = vocab.actions, vocab.action_index
     c_vecs, c_matrix = token_reps(ops, sentence, vocab, config)
 
-    state = initial_state(n)
+    state = ParserState()
     neural = _NeuralState()
     losses = []
     while not is_terminal(state, n):
@@ -422,12 +422,8 @@ def train(corpus: Corpus, config: ScorerConfig,
     dict). `epoch_hook(epoch, params, stats)` runs after every epoch when
     given; `stats` holds the epoch's mean loss, wall time, sentences and
     tokens per second, and both counts. Deterministic given config.seed.
+    Raises CorpusError when no sentence is left to train on.
     """
-    if len(corpus) == 0:
-        raise CorpusError("cannot train on an empty corpus")
-    if vocab is None:
-        vocab = Vocab.build(corpus)
-    params = init_params(config, vocab)
     prepared = []
     skipped_nested = 0
     uncovered_total = 0
@@ -439,6 +435,12 @@ def train(corpus: Corpus, config: ScorerConfig,
             continue
         uncovered_total += len(uncovered)
         prepared.append((sent, actions))
+    if not prepared:
+        raise CorpusError(f"nothing to train on: {len(corpus)} sentences, "
+                          f"{skipped_nested} of them with nested mentions")
+    if vocab is None:
+        vocab = Vocab.build(corpus)
+    params = init_params(config, vocab)
     tokens = sum(len(sent.tokens) for sent, _ in prepared)
 
     rng = np.random.default_rng(config.seed)
@@ -456,7 +458,7 @@ def train(corpus: Corpus, config: ScorerConfig,
                 backward(tape, loss)
                 sgd_step(params, config.learning_rate)
                 total += float(loss.data)
-            losses_per_epoch.append(total / max(len(prepared), 1))
+            losses_per_epoch.append(total / len(prepared))
             if epoch_hook is not None:
                 wall = time.perf_counter() - t0
                 epoch_hook(epoch, params, {

@@ -15,7 +15,10 @@ from itertools import combinations
 
 from .corpus import CorpusError, Fragment, Mention, Sentence, check_not_nested
 
-BIOHD_INDICATORS = ("B", "I", "O", "BH", "IH", "BD", "ID")
+# indicator -> component class: C continuous, H shared head, D exclusive
+# discontinuous body, O outside
+INDICATOR_CLASS = {"B": "C", "I": "C", "O": "O", "BH": "H", "IH": "H",
+                   "BD": "D", "ID": "D"}
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class Tag:
             ind, etype = text.split("-", 1)
         else:
             ind, etype = text, ""
-        if ind not in BIOHD_INDICATORS:
+        if ind not in INDICATOR_CLASS:
             raise CorpusError(f"unknown tag indicator {ind!r}")
         return Tag(ind, etype)
 
@@ -122,8 +125,7 @@ def _segments(tags: TagSequence) -> list[tuple[str, Fragment, str]]:
     etype = ""
     for i, tag in enumerate(list(tags.tags) + [O_TAG]):
         ind = tag.indicator
-        tag_cls = {"BH": "H", "IH": "H", "BD": "D", "ID": "D",
-                   "B": "C", "I": "C", "O": "O"}[ind]
+        tag_cls = INDICATOR_CLASS[ind]
         begins = ind in ("B", "BH", "BD")
         continues = (start is not None and not begins and tag_cls == cls
                      and tag.entity_type == etype)

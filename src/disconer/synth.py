@@ -26,15 +26,14 @@ CONN = ("and", "or")
 
 ENTITY_TYPE = "ADR"
 
-KINDS = ("empty", "flat", "flat_pair", "no_overlap", "no_overlap3",
-         "left_overlap", "left_overlap3", "right_overlap", "multi_overlap")
-
 # No crossing compositions: every sentence is fully derivable by the oracle.
 DERIVABLE_WEIGHTS = {
     "empty": 0.05, "flat": 0.30, "flat_pair": 0.10, "no_overlap": 0.15,
     "no_overlap3": 0.05, "left_overlap": 0.20, "left_overlap3": 0.05,
     "right_overlap": 0.10, "multi_overlap": 0.0,
 }
+# every template kind, in the order make_corpus draws them
+KINDS = tuple(DERIVABLE_WEIGHTS)
 
 
 def _pick(rng: np.random.Generator, words) -> str:
@@ -52,7 +51,6 @@ def _gap(rng: np.random.Generator, gap_range: tuple[int, int]) -> list[str]:
 
 def make_sentence(rng: np.random.Generator, kind: str,
                   gap_range: tuple[int, int] = (1, 2),
-                  sent_index: int = 0,
                   pre_range: tuple[int, int] = (0, 2),
                   post_range: tuple[int, int] = (0, 2)) -> Sentence:
     """Build one sentence of the given template kind."""
@@ -132,7 +130,7 @@ def make_sentence(rng: np.random.Generator, kind: str,
 
     if kind != "empty":
         tokens.extend(post)
-    return Sentence(tuple(tokens), tuple(mentions), sent_index=sent_index)
+    return Sentence(tuple(tokens), tuple(mentions))
 
 
 def make_corpus(n: int, seed: int, weights: dict[str, float] | None = None,
@@ -150,8 +148,8 @@ def make_corpus(n: int, seed: int, weights: dict[str, float] | None = None,
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
     sentences = []
-    for i in range(n):
+    for _ in range(n):
         kind = kinds[int(rng.choice(len(kinds), p=probs))]
-        sentences.append(make_sentence(rng, kind, gap_range, sent_index=i,
+        sentences.append(make_sentence(rng, kind, gap_range,
                                        pre_range=pre_range, post_range=post_range))
     return Corpus(tuple(sentences))

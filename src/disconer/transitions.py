@@ -73,12 +73,6 @@ class ParserState:
     step_count: int = 0
 
 
-def initial_state(sentence_len: int) -> ParserState:
-    if sentence_len < 0:
-        raise ValueError("sentence length must be nonnegative")
-    return ParserState()
-
-
 def is_terminal(state: ParserState, sentence_len: int) -> bool:
     return state.buffer_pos >= sentence_len and not state.stack
 
@@ -146,7 +140,7 @@ def decode(actions: list[Action], sentence_len: int,
     """
     if type_set is None:
         type_set = sorted({a.entity_type for a in actions if a.entity_type})
-    state = initial_state(sentence_len)
+    state = ParserState()
     for action in actions:
         if action not in valid_actions(state, sentence_len, type_set):
             raise InvalidActionError(action, state.step_count)
@@ -206,7 +200,9 @@ def oracle(sentence: Sentence) -> tuple[list[Action], frozenset[Mention]]:
     n = len(sentence.tokens)
     gold = list(sentence.mentions)
     uncovered: set[Mention] = set()
-    for _ in range(len(sentence.mentions) + 1):
+    # Ends: a pass that does not return or raise drops at least one unfinished
+    # mention, and a pass over no mentions leaves nothing on the stack.
+    while True:
         actions, unfinished, leftover = _oracle_pass(gold, n)
         if not leftover and not unfinished:
             return actions, frozenset(uncovered)
@@ -214,7 +210,6 @@ def oracle(sentence: Sentence) -> tuple[list[Action], frozenset[Mention]]:
             raise CorpusError(f"oracle failed to terminate cleanly on {sentence.tokens}")
         uncovered.update(unfinished)
         gold = [m for m in gold if m not in unfinished]
-    raise CorpusError(f"oracle did not converge on {sentence.tokens}")
 
 
 def _oracle_pass(gold: list[Mention], n: int) -> tuple[list[Action], list[Mention], bool]:
@@ -324,7 +319,7 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
     n = len(sentence.tokens)
     type_set = sorted({a.entity_type for a in actions if a.entity_type}
                       | {m.entity_type for m in sentence.mentions})
-    state = initial_state(n)
+    state = ParserState()
     steps = []
     for i, action in enumerate(actions):
         valid = valid_actions(state, n, type_set)

@@ -20,7 +20,7 @@ from disconer.neural import (ScorerConfig, Vocab, finite_diff_check,
                              init_params, predict, save_checkpoint, train)
 from disconer.schemas import TagSequence, ambiguity_witnesses
 from disconer.synth import make_corpus
-from disconer.transitions import (apply, decode, initial_state, is_terminal,
+from disconer.transitions import (ParserState, apply, decode, is_terminal,
                                   oracle, trace, valid_actions)
 
 
@@ -75,7 +75,7 @@ def test_criterion_03_unambiguous_decoding_10k():
     ok = True
     for _ in range(10000):
         n = int(rng.integers(0, 8))
-        state = initial_state(n)
+        state = ParserState()
         actions = []
         while not is_terminal(state, n):
             va = sorted(valid_actions(state, n, types), key=str)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import disconer
-from disconer import neural
+from disconer import cli, neural, transitions
 from disconer.corpus import Corpus, Sentence, parse_inline, write_inline
 from disconer.synth import make_corpus
 
@@ -115,6 +115,36 @@ def _one_error_line(out) -> str:
     last = out.stderr.strip().splitlines()[-1]
     assert last.startswith("error:"), out.stderr
     return last
+
+
+FLAT = "muscle pain\n0,2 ADR\n"
+NESTED = "leg pain\n0,2 ADR|1,2 ADR\n"
+
+
+def test_oracle_check_lists_nested_sentences(workdir):
+    (workdir / "nested4.txt").write_text("\n".join([FLAT, NESTED, FLAT, NESTED]))
+    out = run_cli("oracle-check", "nested4.txt", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert "nested_sentences = 1,3" in out.stdout.splitlines()
+
+
+def test_oracle_check_round_trip_mismatch_is_one_error_line(tmp_path, monkeypatch, capsys):
+    (tmp_path / "flat.txt").write_text(FLAT)
+    monkeypatch.setattr(transitions, "decode", lambda *args, **kwargs: frozenset())
+    code = cli.main(["oracle-check", str(tmp_path / "flat.txt")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: oracle round-trip mismatch in sentence 0"]
+
+
+def test_train_refuses_a_corpus_of_nested_sentences(workdir):
+    (workdir / "nested2.txt").write_text("\n".join([NESTED, NESTED]))
+    out = run_cli("train", "--train", "nested2.txt", "--checkpoint", "nested.bin",
+                  cwd=workdir)
+    assert out.stderr.strip().splitlines() == [_one_error_line(out)]
+    assert "2 sentences, 2 of them with nested mentions" in out.stderr
+    assert not (workdir / "nested.bin").exists()
+    assert not (workdir / "nested.bin.last").exists()
 
 
 def test_bad_config_value_is_one_error_line(workdir):

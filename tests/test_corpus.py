@@ -153,9 +153,8 @@ INLINE_TOKENS = st.text(st.characters(exclude_characters=" \n"), min_size=1, max
 def test_inline_round_trip_on_arbitrary_sentences(drawn):
     corpus = Corpus(tuple(
         Sentence(tuple(words[:len(s.tokens)]),
-                 tuple(sorted(s.mentions, key=lambda m: (m.fragments, m.entity_type))),
-                 sent_index=i)
-        for i, (s, words) in enumerate(drawn)))
+                 tuple(sorted(s.mentions, key=lambda m: (m.fragments, m.entity_type))))
+        for s, words in drawn))
     assert parse_inline(write_inline(corpus)) == corpus
 
 
@@ -224,7 +223,6 @@ def test_parse_standoff_one_sentence_per_non_blank_line():
     assert warnings == []
     assert [s.tokens for s in corpus] == [("muscle", "pain"),
                                           ("leg", "cramps", "and", "fatigue")]
-    assert [s.sent_index for s in corpus] == [0, 1]
     assert corpus.sentences[0].mentions == (Mention("ADR", (Fragment(0, 2),)),)
     assert corpus.sentences[1].mentions == (
         Mention("ADR", (Fragment(0, 1), Fragment(3, 4))),)
@@ -339,7 +337,7 @@ def mention_sets(draw):
 @given(mention_sets())
 def test_flatten_groups_overlapping_covers(s):
     (flat,) = flatten_for_flat_model(Corpus((s,))).sentences
-    assert flat.tokens == s.tokens and flat.sent_index == s.sent_index
+    assert flat.tokens == s.tokens
     outs = [m.fragments[0] for m in flat.mentions]
     assert all(len(m.fragments) == 1 for m in flat.mentions)
     assert all(a.end <= b.start for a, b in zip(outs, outs[1:]))

@@ -11,7 +11,7 @@ from disconer.corpus import CorpusError, Fragment, Mention, Sentence
 from disconer.synth import make_corpus
 from disconer.transitions import (Action, ActionKind, InvalidActionError,
                                   LEFT_REDUCE, OUT, REDUCE, RIGHT_REDUCE,
-                                  SHIFT, apply, complete, decode, initial_state,
+                                  SHIFT, ParserState, apply, complete, decode,
                                   is_terminal, oracle, trace, valid_actions)
 from strategies import non_nested_sentences
 
@@ -49,16 +49,16 @@ def test_actions_have_no_order():
 
 
 def test_initial_state_and_terminal():
-    state = initial_state(4)
+    state = ParserState()
     assert state.buffer_pos == 0 and state.stack == ()
     assert valid_actions(state, 4, ["ADR"]) == {SHIFT, OUT}
-    assert is_terminal(initial_state(0), 0)
-    assert valid_actions(initial_state(0), 0, ["ADR"]) == set()
+    assert is_terminal(ParserState(), 0)
+    assert valid_actions(ParserState(), 0, ["ADR"]) == set()
 
 
 def test_valid_actions_stack_depth_rules():
     types = ["ADR"]
-    state = apply(initial_state(2), SHIFT)
+    state = apply(ParserState(), SHIFT)
     va = valid_actions(state, 2, types)
     assert complete("ADR") in va and REDUCE not in va
     state = apply(state, SHIFT)
@@ -71,7 +71,7 @@ def test_reduce_invalid_on_overlapping_spans():
     # LEFT-REDUCE keeps s1 beneath its own concatenation; reducing those two
     # again would overlap and must be excluded.
     types = ["ADR"]
-    state = initial_state(2)
+    state = ParserState()
     for a in (SHIFT, SHIFT, LEFT_REDUCE):
         state = apply(state, a)
     va = valid_actions(state, 2, types)
@@ -80,7 +80,7 @@ def test_reduce_invalid_on_overlapping_spans():
 
 
 def test_apply_semantics():
-    state = apply(initial_state(3), SHIFT)
+    state = apply(ParserState(), SHIFT)
     assert state.stack[-1] == (Fragment(0, 1),)
     state = apply(state, OUT)
     assert state.buffer_pos == 2
@@ -93,7 +93,7 @@ def test_apply_semantics():
 
 
 def test_left_and_right_reduce_keep_spans():
-    s = initial_state(4)
+    s = ParserState()
     for a in (SHIFT, OUT, SHIFT):
         s = apply(s, a)
     left = apply(s, LEFT_REDUCE)
@@ -125,7 +125,7 @@ def test_longest_rollout_is_under_4n_steps():
         return memo[key]
 
     for n in range(7):
-        longest = longest_from(initial_state(n), n, {}, set())
+        longest = longest_from(ParserState(), n, {}, set())
         assert longest <= max(4 * n - 1, 0)
         assert longest == (2 * n if n < 2 else 4 * n - 3)
 
@@ -157,7 +157,7 @@ def test_figure2_sequence_found_by_exhaustive_search():
         for a in sorted(valid_actions(state, 4, types), key=str):
             dfs(apply(state, a), seq + [a])
 
-    dfs(initial_state(4), [])
+    dfs(ParserState(), [])
     oracle_actions, _ = oracle(FIG2)
     assert tuple(oracle_actions) in found
 
@@ -255,7 +255,7 @@ def test_random_rollouts_always_terminate():
     types = ["A", "B"]
     for _ in range(200):
         n = int(rng.integers(0, 8))
-        state = initial_state(n)
+        state = ParserState()
         steps = 0
         while not is_terminal(state, n):
             va = sorted(valid_actions(state, n, types), key=str)
@@ -275,7 +275,7 @@ def test_oracle_decode_round_trip_on_arbitrary_mentions(s):
     n = len(s.tokens)
     assert uncovered <= frozenset(s.mentions)
     assert decode(actions, n) == frozenset(s.mentions) - uncovered
-    state = initial_state(n)
+    state = ParserState()
     for a in actions:
         state = apply(state, a)
     assert is_terminal(state, n)
