@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -81,8 +82,11 @@ def read_corpus(path: str, fmt: str) -> Corpus:
 def write_corpus(corpus: Corpus, path: str, fmt: str) -> None:
     if fmt == "tags":
         blocks = []
-        for sent in corpus:
-            tags = schemas.encode_biohd(sent)
+        for i, sent in enumerate(corpus):
+            try:
+                tags = schemas.encode_biohd(sent)
+            except CorpusError as exc:
+                raise CorpusError(f"sentence {i}: {exc}") from exc
             blocks.append(schemas.to_conll(sent, tags) + "\n")
         out = "\n".join(blocks)
     else:
@@ -131,6 +135,7 @@ def cmd_oracle_check(args) -> int:
             actions, uncovered = transitions.oracle(sent)
         except CorpusError:
             nested.append(i)
+            uncovered_by_cat["nested"] = uncovered_by_cat.get("nested", 0) + len(sent.mentions)
             continue
         derived = transitions.decode(actions, len(sent.tokens))
         if derived != frozenset(sent.mentions) - uncovered:
@@ -294,7 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`disconer stats f | head`): stop quietly
+        # with the status of a process ended by SIGPIPE (128 + 13); what is left
+        # in the buffer goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (CorpusError, OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -57,8 +57,9 @@ class ScorerConfig:
     def __post_init__(self):
         for name in ("word_dim", "char_dim", "char_cnn_window", "char_filters",
                      "hidden_dim", "stack_dim", "action_dim", "epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value <= 0:  # a checkpoint's JSON may hold 2.0
+                raise ValueError(f"{name} must be a positive integer")
         if self.char_cnn_window % 2 == 0:
             raise ValueError("char_cnn_window must be odd")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -272,25 +273,20 @@ class _NeuralState:
     act_c: Tensor | np.ndarray | None = None
 
 
-def encode_parser_state(ops: Ops, config: ScorerConfig, neural: _NeuralState,
-                        buffer_matrix):
+def encode_parser_state(ops: Ops, neural: _NeuralState, buffer_matrix):
     """[s0, s1, s2, s^a_0, s^a_1, s^a_2, a] with empties substituted.
 
     Missing spans are replaced by s_empty everywhere, including as the
-    attention query. Attention terms are zero vectors on an empty buffer or
-    when the attention path is disabled (ablation).
+    attention query. Attention terms are zero vectors when there is no buffer
+    matrix (None): on an empty buffer, and always when the attention path is
+    disabled (ablation).
     """
     p = ops.p
     spans = [neural.stack[-1 - i].h if len(neural.stack) > i else p["s_empty"]
              for i in range(3)]
-    parts = list(spans)
-    for i, s in enumerate(spans):
-        if not config.attention:
-            parts.append(ops.zeros(config.rep_dim))
-        else:
-            parts.append(attend(ops, s, buffer_matrix, p[f"attn_W{i}"]))
-    parts.append(neural.act_h if neural.act_h is not None else p["a_empty"])
-    return ops.concat(parts)
+    attended = [attend(ops, s, buffer_matrix, p[f"attn_W{i}"]) for i, s in enumerate(spans)]
+    act = neural.act_h if neural.act_h is not None else p["a_empty"]
+    return ops.concat(spans + attended + [act])
 
 
 def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
@@ -351,8 +347,8 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
         valid = valid_actions(state, n, vocab.types)
         valid_idx = sorted(action_idx[a] for a in valid)
         buffer_matrix = (ops.rows_slice(c_matrix, state.buffer_pos, n)
-                         if state.buffer_pos < n else None)
-        feat = encode_parser_state(ops, config, neural, buffer_matrix)
+                         if config.attention and state.buffer_pos < n else None)
+        feat = encode_parser_state(ops, neural, buffer_matrix)
         logits = ops.affine(p["out_W"], feat, p["out_b"])
         if gold_actions is not None:
             step = state.step_count
@@ -544,32 +540,31 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DNER"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path: str, params: ScorerParams, config: ScorerConfig,
                     vocab: Vocab) -> None:
-    """Versioned binary container: magic, version, metadata, named tensors,
-    then a CRC-32 of all the bytes before it."""
+    """Versioned binary container: magic, version, metadata length, metadata
+    JSON, the float64 data of every tensor in `_shapes` order (no shapes: the
+    metadata fixes them), then a CRC-32 of all the bytes before it."""
     meta = {"config": asdict(config),
             "words": list(vocab.words), "chars": list(vocab.chars),
             "types": list(vocab.types)}
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     tensors = params.arrays()
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)),
-             meta_bytes, struct.pack("<I", len(tensors))]
-    for name in sorted(tensors):
-        arr = tensors[name]
-        name_b = name.encode("utf-8")
-        parts += [struct.pack("<H", len(name_b)), name_b, struct.pack("<B", arr.ndim),
-                  struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
-    body = b"".join(parts)
+    body = b"".join([CHECKPOINT_MAGIC,
+                     struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)), meta_bytes,
+                     *(tensors[name].astype("<f8").tobytes() for name in _shapes(config, vocab))])
     with open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path: str) -> tuple[ScorerParams, ScorerConfig, Vocab]:
+    """Checks magic, version, checksum and metadata in that order, then one
+    length rule: the data after the metadata is exactly the float64 tensors
+    its config and vocabulary shape."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -582,36 +577,21 @@ def load_checkpoint(path: str) -> tuple[ScorerParams, ScorerConfig, Vocab]:
     body = data[:-4]
     if len(data) < 12 or struct.unpack_from("<I", data, len(body))[0] != zlib.crc32(body):
         raise CorpusError(f"{path}: checkpoint checksum mismatch (truncated or corrupt file)")
-    pos = 8
-
-    def take(size: int) -> bytes:
-        nonlocal pos
-        if pos + size > len(body):
-            raise CorpusError(f"{path}: checkpoint truncated at byte {len(body)}, "
-                              f"needs {pos + size}")
-        pos += size
-        return body[pos - size:pos]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
+    meta_end = 12 + int.from_bytes(body[8:12], "little")
     try:
-        meta = json.loads(take(unpack("<I")[0]).decode("utf-8"))
-        tensors = {}
-        for _ in range(unpack("<I")[0]):
-            name = take(unpack("<H")[0]).decode("utf-8")
-            shape = unpack(f"<{unpack('<B')[0]}Q")
-            arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-            tensors[name] = arr.reshape(shape).astype(np.float64)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorpusError(f"{path}: bad checkpoint metadata: {exc}") from exc
-    if pos != len(body):
-        raise CorpusError(f"{path}: {len(body) - pos} trailing bytes after the checkpoint")
-    try:
+        meta = json.loads(body[12:meta_end].decode("utf-8"))
         config = ScorerConfig(**meta["config"])
         vocab = Vocab(tuple(meta["words"]), tuple(meta["chars"]), tuple(meta["types"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise CorpusError(f"{path}: bad checkpoint metadata: {exc}") from exc
-    if {name: arr.shape for name, arr in tensors.items()} != _shapes(config, vocab):
-        raise CorpusError(f"{path}: checkpoint tensors do not match its config")
+    shapes = _shapes(config, vocab)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    end = meta_end + 8 * sum(sizes)
+    if end > len(body):
+        raise CorpusError(f"{path}: checkpoint truncated at byte {len(body)}, needs {end}")
+    if end < len(body):
+        raise CorpusError(f"{path}: {len(body) - end} trailing bytes after the checkpoint")
+    flat = np.frombuffer(body, dtype="<f8", offset=meta_end).astype(np.float64)
+    tensors = {name: part.reshape(shape) for (name, shape), part
+               in zip(shapes.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
     return ScorerParams(tensors), config, vocab

@@ -77,19 +77,21 @@ def is_terminal(state: ParserState, sentence_len: int) -> bool:
     return state.buffer_pos >= sentence_len and not state.stack
 
 
+def _disjoint(s0: tuple[Fragment, ...], s1: tuple[Fragment, ...]) -> bool:
+    """Whether two spans share no token: the rule for when they may reduce.
+    Overlapping fragments have no canonical concatenation (`canonicalize`
+    raises exactly then; touching ones merge)."""
+    return all(a.end <= b.start or b.end <= a.start for a in s0 for b in s1)
+
+
 def valid_actions(state: ParserState, sentence_len: int,
                   type_set: tuple[str, ...] | list[str]) -> set[Action]:
     """The hard constraints: which actions may be taken from this state."""
     valid: set[Action] = set()
     if state.stack:
         valid.update(map(complete, type_set))
-        if len(state.stack) >= 2:
-            # reduces only apply to disjoint spans: the concatenation of
-            # overlapping fragments has no canonical form
-            s0, s1 = state.stack[-1], state.stack[-2]
-            tokens0 = {t for f in s0 for t in f.tokens()}
-            if all(t not in tokens0 for f in s1 for t in f.tokens()):
-                valid.update((REDUCE, LEFT_REDUCE, RIGHT_REDUCE))
+        if len(state.stack) >= 2 and _disjoint(state.stack[-1], state.stack[-2]):
+            valid.update((REDUCE, LEFT_REDUCE, RIGHT_REDUCE))
     if state.buffer_pos < sentence_len:
         valid.update((SHIFT, OUT))
     return valid
@@ -253,10 +255,9 @@ def _oracle_pass(gold: list[Mention], n: int) -> tuple[list[Action], list[Mentio
                     continue
             if len(stack) >= 2:
                 s0, s1 = stack[-1], stack[-2]
-                try:
-                    combined = canonicalize(s1 + s0)
-                except CorpusError:
+                if not _disjoint(s0, s1):
                     break
+                combined = canonicalize(s1 + s0)
                 target = reduce_target(combined)
                 if target is not None:
                     if required_elsewhere(s1, target, combined):

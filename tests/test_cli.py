@@ -21,12 +21,13 @@ from disconer.synth import make_corpus
 PACKAGE_ROOT = str(Path(disconer.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "disconer.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd,
+                          env=env)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,18 @@ def test_stats_deterministic(workdir):
         assert out.returncode == 0, out.stderr
         assert "sentences = 40" in out.stdout
     assert a.stdout == b.stdout
+
+
+def test_closed_stdout_ends_quietly(workdir):
+    """A reader that has gone (`disconer stats f | head -0`) ends the output
+    with the status of SIGPIPE (128 + 13) and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = run_cli("stats", "train.txt", cwd=workdir, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, "")
 
 
 def test_missing_file_error():
@@ -128,6 +141,36 @@ def test_oracle_check_lists_nested_sentences(workdir):
     assert "nested_sentences = 1,3" in out.stdout.splitlines()
 
 
+def _report(stdout: str) -> dict[str, str]:
+    return dict(line.split(" = ", 1) for line in stdout.splitlines())
+
+
+def test_oracle_check_accounts_for_every_mention(workdir):
+    """covered + the uncovered_* lines == mentions; a nested sentence's
+    mentions count as uncovered_nested."""
+    (workdir / "flat_nested.txt").write_text("\n".join([FLAT, NESTED]))
+    stdout = {}
+    for corpus in ("flat_nested.txt", "train.txt"):
+        out = run_cli("oracle-check", corpus, cwd=workdir)
+        assert out.returncode == 0, out.stderr
+        stdout[corpus] = out.stdout
+        report = _report(out.stdout)
+        uncovered = sum(int(v) for k, v in report.items() if k.startswith("uncovered_"))
+        assert int(report["covered"]) + uncovered == int(report["mentions"]), corpus
+    assert stdout["flat_nested.txt"].splitlines() == [
+        "mentions = 3", "covered = 1", "coverage = 0.3333", "uncovered_nested = 2",
+        "nested_sentences = 1"]
+
+
+def test_convert_to_tags_names_the_nested_sentence(workdir):
+    (workdir / "flat_nested.txt").write_text("\n".join([FLAT, NESTED]))
+    out = run_cli("convert", "flat_nested.txt", "flat_nested.tags", "--to", "tags",
+                  cwd=workdir)
+    assert out.stderr.strip().splitlines() == [_one_error_line(out)]
+    assert out.stderr.startswith("error: sentence 1: nested mentions: ")
+    assert not (workdir / "flat_nested.tags").exists()
+
+
 def test_oracle_check_round_trip_mismatch_is_one_error_line(tmp_path, monkeypatch, capsys):
     (tmp_path / "flat.txt").write_text(FLAT)
     monkeypatch.setattr(transitions, "decode", lambda *args, **kwargs: frozenset())
@@ -199,13 +242,24 @@ def _write_checkpoint_header(path, version: int, config: dict) -> None:
 
 
 def test_checkpoint_unknown_config_key(workdir):
-    _write_checkpoint_header(workdir / "odd.bin", 3, {"external_vec_dim": 0})
+    _write_checkpoint_header(workdir / "odd.bin", neural.CHECKPOINT_VERSION,
+                             {"external_vec_dim": 0})
     out = run_cli("predict", "test.txt", "odd_pred.txt", "--checkpoint", "odd.bin",
                   cwd=workdir)
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
     assert "external_vec_dim" in lines[0]
+
+
+def test_checkpoint_of_version_3_is_refused(workdir, capsys):
+    path = workdir / "v3.bin"
+    _write_checkpoint_header(path, 3, {})
+    code = cli.main(["predict", str(workdir / "test.txt"), str(workdir / "v3_pred.txt"),
+                     "--checkpoint", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: unsupported checkpoint version 3"]
 
 
 def test_truncated_checkpoint_is_one_error_line(workdir):

@@ -1,11 +1,12 @@
 """Tests for the autodiff engine and the neural transition scorer."""
 
 import importlib.util
+import json
 import os
 import struct
 import tempfile
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,29 @@ def test_checkpoint_length_checked_under_a_valid_checksum(tmp_path):
     assert "bad checkpoint metadata" in _load_error(bad, with_crc(cut_meta))
 
 
+def test_checkpoint_data_must_have_the_length_its_metadata_fixes(tmp_path):
+    """A config or vocabulary that disagrees with the tensor data, under a
+    valid checksum, fails the one length rule."""
+    body = _tiny_checkpoint(tmp_path / "m.ckpt")[:-4]
+    meta_len = struct.unpack_from("<I", body, 8)[0]
+    data = body[12 + meta_len:]
+    bad = tmp_path / "bad.ckpt"
+
+    def resigned(meta: dict) -> bytes:
+        meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
+        b = body[:8] + struct.pack("<I", len(meta_b)) + meta_b + data
+        return b + struct.pack("<I", zlib.crc32(b))
+
+    meta = json.loads(body[12:12 + meta_len])
+    wider = {**meta, "config": {**meta["config"], "word_dim": 2}}
+    assert "truncated" in _load_error(bad, resigned(wider))
+    untyped = {**meta, "types": []}   # drops one COMPLETE action row
+    assert "trailing bytes" in _load_error(bad, resigned(untyped))
+    float_dim = {**meta, "config": {**meta["config"], "word_dim": 1.0}}
+    assert "word_dim must be a positive integer" in _load_error(bad, resigned(float_dim))
+    assert _load_error(bad, resigned(meta)) is None
+
+
 DIMS = st.integers(1, 4)
 
 
@@ -583,6 +607,25 @@ def test_rollouts_check_each_step_once():
     applied = tracer.counts["transitions.apply"]
     assert applied > 2 * sum(len(s.tokens) for s in sents)
     assert tracer.counts["transitions.valid_actions"] == applied
+
+
+def test_attention_off_slices_no_buffer(monkeypatch):
+    """The ablation passes no buffer to the attention terms: the zero vector
+    comes from attend alone, and no buffer slice is recorded."""
+    calls = []
+    rows_slice = ad.rows_slice
+
+    def counting_rows_slice(*args):
+        calls.append(args)
+        return rows_slice(*args)
+    monkeypatch.setattr(ad, "rows_slice", counting_rows_slice)
+    s = next(s for s in CORPUS if s.mentions)
+    actions, _ = oracle(s)
+    for attention in (True, False):
+        calls.clear()
+        config = replace(CONFIG, attention=attention)
+        sentence_loss(s, actions, init_params(config, VOCAB), VOCAB, config)
+        assert bool(calls) is attention
 
 
 def test_predict_constructs_no_tensor(monkeypatch):
