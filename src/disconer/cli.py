@@ -20,7 +20,7 @@ from . import evaluation, neural, schemas, transitions
 from .corpus import Corpus, CorpusError, ResampleMode
 
 CONFIG_PATH_KEYS = ("train_corpus", "dev_corpus", "checkpoint")
-SCORER_FIELDS = {f.name: f.type for f in dataclasses.fields(neural.ScorerConfig)}
+SCORER_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(neural.ScorerConfig)}
 BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -43,23 +43,18 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def build_scorer_config(values: dict[str, str], seed: int | None) -> neural.ScorerConfig:
+    """Convert each config value from text to its field's type; the ranges
+    are ScorerConfig's to check."""
     kwargs = {}
-    for name, typ in SCORER_FIELDS.items():
+    for name, kind in SCORER_FIELDS.items():
         if name not in values:
             continue
         raw = values[name]
-        if "bool" in str(typ):
-            if raw.lower() not in BOOL_VALUES:
-                raise CorpusError(f"config key {name!r}: expected one of "
-                                  f"{'/'.join(BOOL_VALUES)}, got {raw!r}")
-            kwargs[name] = BOOL_VALUES[raw.lower()]
-            continue
-        parse = float if "float" in str(typ) else int
         try:
-            kwargs[name] = parse(raw)
-        except ValueError:
-            raise CorpusError(f"config key {name!r}: expected {parse.__name__}, "
-                              f"got {raw!r}") from None
+            kwargs[name] = BOOL_VALUES[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            expected = f"one of {'/'.join(BOOL_VALUES)}" if kind is bool else kind.__name__
+            raise CorpusError(f"config key {name!r}: expected {expected}, got {raw!r}") from None
     if seed is not None:
         kwargs["seed"] = seed
     return neural.ScorerConfig(**kwargs)
@@ -118,7 +113,8 @@ def cmd_convert(args) -> int:
     if args.flatten:
         corpus = corpus_mod.flatten_for_flat_model(corpus)
     if args.resample:
-        corpus = corpus_mod.resample(corpus, ResampleMode(args.resample), args.seed or 0)
+        seed = build_scorer_config({}, args.seed).seed
+        corpus = corpus_mod.resample(corpus, ResampleMode(args.resample), seed)
     write_corpus(corpus, args.output, args.to)
     return 0
 

@@ -64,6 +64,19 @@ def canonicalize(fragments: list[Fragment] | tuple[Fragment, ...]) -> tuple[Frag
     return tuple(merged)
 
 
+_ENTITY_TYPE = r"[^\s|]+"
+_ENTITY_TYPE_RE = re.compile(_ENTITY_TYPE)
+
+
+def check_entity_type(entity_type) -> None:
+    """The entity-type rule: non-empty text with no whitespace and no "|",
+    the separators of the inline format, which can then read the type back.
+    Raises CorpusError otherwise."""
+    if not (isinstance(entity_type, str) and _ENTITY_TYPE_RE.fullmatch(entity_type)):
+        raise CorpusError(f"entity type {entity_type!r} must be non-empty text "
+                          f"with no whitespace and no '|'")
+
+
 @dataclass(frozen=True)
 class Mention:
     """Entity type plus canonical fragment tuple; the unit of evaluation."""
@@ -72,6 +85,7 @@ class Mention:
     fragments: tuple[Fragment, ...]
 
     def __post_init__(self):
+        check_entity_type(self.entity_type)
         object.__setattr__(self, "fragments", canonicalize(self.fragments))
 
     @property
@@ -182,7 +196,7 @@ def overlap_category(m: Mention, others: list[Mention]) -> Category:
 # Inline format
 # ---------------------------------------------------------------------------
 
-_MENTION_RE = re.compile(r"^(\d+,\d+(?:;\d+,\d+)*) (\S+)$")
+_MENTION_RE = re.compile(rf"^(\d+,\d+(?:;\d+,\d+)*) ({_ENTITY_TYPE})$")
 
 
 def parse_inline(text: str) -> Corpus:

@@ -20,14 +20,14 @@ import math
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .corpus import Corpus, CorpusError, Mention, Sentence
+from .corpus import Corpus, CorpusError, Mention, Sentence, check_entity_type
 from .transitions import (Action, ActionKind, LEFT_REDUCE, OUT, ParserState,
                           REDUCE, RIGHT_REDUCE, SHIFT, complete, is_terminal,
                           apply as apply_action, oracle, valid_actions)
@@ -55,15 +55,23 @@ class ScorerConfig:
     budget_multiplier: ClassVar[int] = 8
 
     def __post_init__(self):
-        for name in ("word_dim", "char_dim", "char_cnn_window", "char_filters",
-                     "hidden_dim", "stack_dim", "action_dim", "epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:  # a checkpoint's JSON may hold 2.0
-                raise ValueError(f"{name} must be a positive integer")
+        """Every field has its declared type, exactly (a bool is no int and
+        an int no float), and its range."""
+        for f in fields(self):
+            name, value, kind = f.name, getattr(self, f.name), type(f.default)
+            if kind is bool:
+                ok, rule = isinstance(value, bool), "true or false"
+            elif kind is int:
+                least = 0 if name == "seed" else 1
+                ok = type(value) is int and value >= least
+                rule = "a non-negative integer" if least == 0 else "a positive integer"
+            else:
+                ok = isinstance(value, float) and math.isfinite(value) and value > 0
+                rule = "a finite positive number"
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         if self.char_cnn_window % 2 == 0:
             raise ValueError("char_cnn_window must be odd")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
 
     @property
     def rep_dim(self) -> int:
@@ -81,13 +89,26 @@ class Vocab:
     types: tuple[str, ...]
 
     def __post_init__(self):
+        """Words and chars are distinct and hold UNK; types are non-empty,
+        distinct and each obeys the entity-type rule."""
         object.__setattr__(self, "_word_idx", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_char_idx", {c: i for i, c in enumerate(self.chars)})
+        for name, index in (("words", self._word_idx), ("chars", self._char_idx)):
+            if UNK not in index:
+                raise ValueError(f"{name} must include {UNK!r}")
+            if len(index) != len(getattr(self, name)):
+                raise ValueError(f"{name} must be distinct")
+        if not self.types:
+            raise ValueError("types must not be empty")
+        for t in self.types:
+            check_entity_type(t)
         # the scorer's output rows and action embeddings, in this order
         actions = (SHIFT, OUT, REDUCE, LEFT_REDUCE, RIGHT_REDUCE,
                    *map(complete, self.types))
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "action_index", {a: i for i, a in enumerate(actions)})
+        if len(self.action_index) != len(actions):
+            raise ValueError("types must be distinct")
 
     @staticmethod
     def build(corpus: Corpus) -> "Vocab":
@@ -184,7 +205,8 @@ def init_params(config: ScorerConfig, vocab: Vocab) -> ScorerParams:
 # ---------------------------------------------------------------------------
 
 def token_reps(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig):
-    """Per-token contextual vectors c_i and their stacked (N, rep_dim) matrix.
+    """Per-token contextual vectors c_i and their stacked (N, rep_dim) matrix,
+    which only attention reads (None when attention is off).
 
     Word embedding + char-CNN vector per token, BiLSTM over the sequence.
     Unknown words map to the UNK embedding.
@@ -214,7 +236,7 @@ def token_reps(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig)
         bwd[i] = h
 
     c_vecs = [ops.concat([fwd[i], bwd[i]]) for i in range(n)]
-    return c_vecs, ops.stack_rows(c_vecs)
+    return c_vecs, ops.stack_rows(c_vecs) if config.attention else None
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,33 @@ def test_train_refuses_a_corpus_of_nested_sentences(workdir):
 def test_bad_config_value_is_one_error_line(workdir):
     for key, value in (("attention", "ture"), ("attention", "2"), ("hidden_dim", "1.5"),
                        ("epochs", "many"), ("learning_rate", "fast"), ("epochs", "0"),
-                       ("learning_rate", "0"), ("learning_rate", "nan")):
+                       ("learning_rate", "0"), ("learning_rate", "nan"), ("seed", "-1")):
         (workdir / "bad.cfg").write_text(f"{key} = {value}\n")
         out = run_cli("--config", "bad.cfg", "train", "--train", "dev.txt",
                       "--checkpoint", "bad.bin", cwd=workdir)
         assert key in _one_error_line(out), (key, value)
+
+
+def test_negative_seed_flag_is_one_error_line(workdir):
+    for command in (["train", "--train", "dev.txt", "--checkpoint", "neg.bin"],
+                    ["convert", "train.txt", "neg.txt", "--resample", "under_sample"]):
+        out = run_cli("--seed", "-1", *command, cwd=workdir)
+        assert out.stderr.strip().splitlines() == [_one_error_line(out)], command
+        assert "seed must be a non-negative integer" in out.stderr
+    assert not (workdir / "neg.bin").exists() and not (workdir / "neg.txt").exists()
+
+
+def test_standoff_types_the_inline_format_cannot_hold_are_skipped(workdir):
+    (workdir / "odd.txt").write_text("muscle pain\n")
+    (workdir / "odd.ann").write_text("T1\tA|B 0 6\tmuscle\nT2\t 0 6\tmuscle\n"
+                                     "T3\tADR 0 11\tmuscle pain\n")
+    out = run_cli("--format", "standoff", "convert", "odd", "odd_inline.txt", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert [l.split(":")[:2] for l in out.stderr.splitlines()] == [
+        ["warning", " T1"], ["warning", " T2"]]
+    out = run_cli("stats", "odd_inline.txt", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    assert "mentions = 1" in out.stdout
 
 
 def test_diverging_training_is_one_error_line(workdir):
@@ -233,9 +255,9 @@ def test_format_tags_refused(workdir):
     assert "Traceback" not in out.stderr
 
 
-def _write_checkpoint_header(path, version: int, config: dict) -> None:
+def _write_checkpoint_header(path, version: int, config: dict, **vocab) -> None:
     meta = json.dumps({"config": config, "words": ["<unk>"], "chars": ["<unk>"],
-                       "types": ["ENT"]}).encode("utf-8")
+                       "types": ["ENT"], **vocab}).encode("utf-8")
     body = (b"DNER" + struct.pack("<II", version, len(meta)) + meta
             + struct.pack("<I", 0))
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -250,6 +272,15 @@ def test_checkpoint_unknown_config_key(workdir):
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
     assert "external_vec_dim" in lines[0]
+
+
+def test_checkpoint_without_unk_is_one_error_line(workdir):
+    _write_checkpoint_header(workdir / "nounk.bin", neural.CHECKPOINT_VERSION, {},
+                             words=["muscle"])
+    out = run_cli("predict", "test.txt", "nounk_pred.txt", "--checkpoint", "nounk.bin",
+                  cwd=workdir)
+    assert out.stderr.strip().splitlines() == [_one_error_line(out)]
+    assert "bad checkpoint metadata: words must include '<unk>'" in out.stderr
 
 
 def test_checkpoint_of_version_3_is_refused(workdir, capsys):

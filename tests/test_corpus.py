@@ -1,7 +1,5 @@
 """Tests for the corpus data model, formats, stats, and transforms."""
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +47,15 @@ def test_mention_equality_is_canonical():
     assert a == b
     assert hash(a) == hash(b)
     assert not a.is_discontinuous
+
+
+def test_mention_type_obeys_the_entity_type_rule():
+    """An entity type is what the inline format reads back: non-empty, with
+    no whitespace and no '|'."""
+    for bad in ("", "A B", "A|B", "A\tB", "A\n", 5, None):
+        with pytest.raises(CorpusError, match="entity type"):
+            Mention(bad, (Fragment(0, 1),))
+    assert Mention("ADR-2", (Fragment(0, 1),)).entity_type == "ADR-2"
 
 
 def test_mention_lengths():
@@ -229,6 +236,16 @@ def test_parse_standoff_one_sentence_per_non_blank_line():
     assert len(parse_standoff("\n \n", "")[0]) == 0
 
 
+@pytest.mark.parametrize("etype", ["A|B", ""])
+def test_parse_standoff_skips_types_the_inline_format_cannot_hold(etype):
+    ann = f"T1\t{etype} 0 6\tmuscle\nT2\tADR 0 11\tmuscle pain\n"
+    corpus, warnings = parse_standoff("muscle pain", ann)
+    assert corpus.sentences[0].mentions == (Mention("ADR", (Fragment(0, 2),)),)
+    assert len(warnings) == 1
+    assert warnings[0].startswith("T1: entity type") and "skipped" in warnings[0]
+    assert parse_inline(write_inline(corpus)) == corpus
+
+
 @pytest.mark.parametrize("offsets", ["", " x", " 0", " 0 6 11", " 0 6;16", " 0 6;", " 0 6;;16 23"])
 def test_parse_standoff_malformed_offsets(offsets):
     ann = f"T1\tADR 0 6\tmuscle\nT2\tADR{offsets}\tfatigue\n"
@@ -240,7 +257,7 @@ STANDOFF_TEXT = st.text(st.sampled_from("ab .,\n"), max_size=20)
 STANDOFF_LINE = st.one_of(
     st.text(st.sampled_from("T1\tADR 0123;-x\n"), max_size=20),
     st.builds(lambda kind, etype, offs, tail: f"{kind}\t{etype}{offs}{tail}",
-              st.sampled_from(["T1", "T2", "R1", "T"]), st.sampled_from(["ADR", "", "A B"]),
+              st.sampled_from(["T1", "T2", "R1", "T"]), st.sampled_from(["ADR", "", "A B", "A|B"]),
               st.text(st.sampled_from(" ;0123456789-"), max_size=12),
               st.sampled_from(["", "\tmention", "\t"])))
 
@@ -248,8 +265,13 @@ STANDOFF_LINE = st.one_of(
 @settings(max_examples=3000, deadline=None)
 @given(STANDOFF_TEXT, st.lists(STANDOFF_LINE, max_size=4))
 def test_parse_standoff_fuzz_raises_only_corpus_errors(text, lines):
-    with contextlib.suppress(CorpusError):
-        parse_standoff(text, "\n".join(lines))
+    """Any input either fails with one CorpusError or gives a corpus that the
+    inline format holds."""
+    try:
+        corpus, _ = parse_standoff(text, "\n".join(lines))
+    except CorpusError:
+        return
+    parse_inline(write_inline(corpus))
 
 
 # ---------------------------------------------------------------------------

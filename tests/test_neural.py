@@ -6,7 +6,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +163,14 @@ def test_config_validation():
     with pytest.raises(TypeError):
         ScorerConfig(external_vec_dim=3)
     for bad in ({"epochs": 0}, {"learning_rate": 0.0}, {"learning_rate": -0.1},
-                {"learning_rate": float("inf")}, {"learning_rate": float("nan")}):
-        with pytest.raises(ValueError):
+                {"learning_rate": float("inf")}, {"learning_rate": float("nan")},
+                {"learning_rate": True}, {"learning_rate": 1}, {"word_dim": True},
+                {"epochs": 2.0}, {"attention": "false"}, {"attention": 0},
+                {"seed": -5}, {"seed": "x"}):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             ScorerConfig(**bad)
+    assert ScorerConfig(seed=0).seed == 0
     # a bound the benchmark checks, not a setting
     with pytest.raises(TypeError):
         ScorerConfig(budget_multiplier=8)
@@ -470,27 +475,77 @@ def test_checkpoint_length_checked_under_a_valid_checksum(tmp_path):
     assert "bad checkpoint metadata" in _load_error(bad, with_crc(cut_meta))
 
 
+def _resigned_tiny_checkpoint(path: Path, **meta_changes) -> bytes:
+    """The tiny checkpoint, its metadata changed and its CRC valid; a "config"
+    change updates single fields."""
+    body = _tiny_checkpoint(path)[:-4]
+    meta_len = struct.unpack_from("<I", body, 8)[0]
+    meta = json.loads(body[12:12 + meta_len])
+    config = {**meta["config"], **meta_changes.pop("config", {})}
+    meta_b = json.dumps({**meta, **meta_changes, "config": config},
+                        sort_keys=True).encode("utf-8")
+    b = body[:8] + struct.pack("<I", len(meta_b)) + meta_b + body[12 + meta_len:]
+    return b + struct.pack("<I", zlib.crc32(b))
+
+
 def test_checkpoint_data_must_have_the_length_its_metadata_fixes(tmp_path):
     """A config or vocabulary that disagrees with the tensor data, under a
     valid checksum, fails the one length rule."""
-    body = _tiny_checkpoint(tmp_path / "m.ckpt")[:-4]
-    meta_len = struct.unpack_from("<I", body, 8)[0]
-    data = body[12 + meta_len:]
-    bad = tmp_path / "bad.ckpt"
+    good, bad = tmp_path / "m.ckpt", tmp_path / "bad.ckpt"
+    wider = _resigned_tiny_checkpoint(good, config={"word_dim": 2})
+    assert "truncated" in _load_error(bad, wider)
+    fewer_words = _resigned_tiny_checkpoint(good, words=["<unk>"])   # one word_emb row less
+    assert "trailing bytes" in _load_error(bad, fewer_words)
+    float_dim = _resigned_tiny_checkpoint(good, config={"word_dim": 1.0})
+    assert "word_dim must be a positive integer" in _load_error(bad, float_dim)
+    assert _load_error(bad, _resigned_tiny_checkpoint(good)) is None
 
-    def resigned(meta: dict) -> bytes:
-        meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-        b = body[:8] + struct.pack("<I", len(meta_b)) + meta_b + data
-        return b + struct.pack("<I", zlib.crc32(b))
 
-    meta = json.loads(body[12:12 + meta_len])
-    wider = {**meta, "config": {**meta["config"], "word_dim": 2}}
-    assert "truncated" in _load_error(bad, resigned(wider))
-    untyped = {**meta, "types": []}   # drops one COMPLETE action row
-    assert "trailing bytes" in _load_error(bad, resigned(untyped))
-    float_dim = {**meta, "config": {**meta["config"], "word_dim": 1.0}}
-    assert "word_dim must be a positive integer" in _load_error(bad, resigned(float_dim))
-    assert _load_error(bad, resigned(meta)) is None
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=5)
+CONFIG_FIELDS = {f.name: type(f.default) for f in fields(ScorerConfig)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CONFIG_FIELDS)), value=JSON_VALUES)
+def test_checkpoint_config_values_have_their_declared_types(name, value):
+    """Any JSON value in any config field either loads as a value of the
+    field's declared type or is refused with one CorpusError."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.ckpt"
+        path.write_bytes(_resigned_tiny_checkpoint(path, config={name: value}))
+        try:
+            _, config, _ = load_checkpoint(str(path))
+        except CorpusError:
+            return
+    for field, kind in CONFIG_FIELDS.items():
+        assert type(getattr(config, field)) is kind, field
+    assert getattr(config, name) == value
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("words", ["a"], "words must include '<unk>'"),
+    ("chars", ["a"], "chars must include '<unk>'"),
+    ("words", ["<unk>", "a", "a"], "words must be distinct"),
+    ("types", [], "types must not be empty"),
+    ("types", [5], "entity type 5"),
+    ("types", ["A B"], "entity type 'A B'"),
+    ("types", ["T", "T"], "types must be distinct"),
+])
+def test_checkpoint_vocabulary_is_held_to_the_vocab_rules(tmp_path, key, value, message):
+    data = _resigned_tiny_checkpoint(tmp_path / "m.ckpt", **{key: value})
+    assert f"bad checkpoint metadata: {message}" in _load_error(tmp_path / "bad.ckpt", data)
+    with pytest.raises(ValueError, match=message):
+        Vocab(**{**asdict(TINY_VOCAB), key: tuple(value)})
+
+
+def _with_unk(items):
+    """Distinct items drawn from `items`, and UNK, in any order."""
+    return st.lists(items, max_size=5, unique=True).flatmap(
+        lambda xs: st.permutations(list(dict.fromkeys([neural.UNK, *xs]))))
 
 
 DIMS = st.integers(1, 4)
@@ -503,9 +558,10 @@ DIMS = st.integers(1, 4)
                         attention=st.booleans(),
                         learning_rate=st.floats(1e-6, 10.0),
                         epochs=st.integers(1, 100), seed=st.integers(0, 2**63)),
-       words=st.lists(st.text(max_size=5), min_size=1, max_size=6, unique=True),
-       chars=st.lists(st.characters(), min_size=1, max_size=6, unique=True),
-       types=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True))
+       words=_with_unk(st.text(max_size=5)),
+       chars=_with_unk(st.characters()),
+       types=st.lists(st.from_regex(r"[^\s|]+", fullmatch=True), min_size=1, max_size=3,
+                      unique=True))
 def test_checkpoint_round_trip_on_random_configs(config, words, chars, types):
     vocab = Vocab(tuple(words), tuple(chars), tuple(types))
     params = init_params(config, vocab)
@@ -611,21 +667,21 @@ def test_rollouts_check_each_step_once():
 
 def test_attention_off_slices_no_buffer(monkeypatch):
     """The ablation passes no buffer to the attention terms: the zero vector
-    comes from attend alone, and no buffer slice is recorded."""
-    calls = []
-    rows_slice = ad.rows_slice
-
-    def counting_rows_slice(*args):
-        calls.append(args)
-        return rows_slice(*args)
-    monkeypatch.setattr(ad, "rows_slice", counting_rows_slice)
+    comes from attend alone, and no buffer matrix is built or sliced."""
+    calls = {"rows_slice": 0, "stack_rows": 0}
+    for name in calls:
+        def counting(*args, _name=name, _op=getattr(ad, name)):
+            calls[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(ad, name, counting)
     s = next(s for s in CORPUS if s.mentions)
     actions, _ = oracle(s)
     for attention in (True, False):
-        calls.clear()
+        calls.update(rows_slice=0, stack_rows=0)
         config = replace(CONFIG, attention=attention)
         sentence_loss(s, actions, init_params(config, VOCAB), VOCAB, config)
-        assert bool(calls) is attention
+        assert bool(calls["rows_slice"]) is attention
+        assert calls["stack_rows"] == int(attention)
 
 
 def test_predict_constructs_no_tensor(monkeypatch):
