@@ -42,9 +42,11 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def build_scorer_config(values: dict[str, str], seed: int | None) -> neural.ScorerConfig:
-    """Convert each config value from text to its field's type; the ranges
-    are ScorerConfig's to check."""
+def load_config(args) -> tuple[neural.ScorerConfig, dict[str, str]]:
+    """The scorer config of `--config` and `--seed` (the flag wins), and the
+    file's values. Each value is converted from text to its field's type;
+    the ranges are ScorerConfig's to check."""
+    values = parse_config_file(args.config) if args.config else {}
     kwargs = {}
     for name, kind in SCORER_FIELDS.items():
         if name not in values:
@@ -55,9 +57,9 @@ def build_scorer_config(values: dict[str, str], seed: int | None) -> neural.Scor
         except (KeyError, ValueError):
             expected = f"one of {'/'.join(BOOL_VALUES)}" if kind is bool else kind.__name__
             raise CorpusError(f"config key {name!r}: expected {expected}, got {raw!r}") from None
-    if seed is not None:
-        kwargs["seed"] = seed
-    return neural.ScorerConfig(**kwargs)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    return neural.ScorerConfig(**kwargs), values
 
 
 def read_corpus(path: str, fmt: str) -> Corpus:
@@ -113,8 +115,8 @@ def cmd_convert(args) -> int:
     if args.flatten:
         corpus = corpus_mod.flatten_for_flat_model(corpus)
     if args.resample:
-        seed = build_scorer_config({}, args.seed).seed
-        corpus = corpus_mod.resample(corpus, ResampleMode(args.resample), seed)
+        corpus = corpus_mod.resample(corpus, ResampleMode(args.resample),
+                                     load_config(args)[0].seed)
     write_corpus(corpus, args.output, args.to)
     return 0
 
@@ -165,8 +167,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = parse_config_file(args.config) if args.config else {}
-    config = build_scorer_config(values, args.seed)
+    config, values = load_config(args)
     _log_config(config, values)
     train_path = args.train or values.get("train_corpus")
     if not train_path:

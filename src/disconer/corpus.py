@@ -122,10 +122,9 @@ class Sentence:
         for m in self.mentions:
             if m.fragments[-1].end > n:
                 raise CorpusError(f"mention {m} exceeds sentence length {n}")
-            key = (m.entity_type, m.fragments)
-            if key in seen:
+            if m in seen:
                 raise CorpusError(f"duplicate mention {m}")
-            seen.add(key)
+            seen.add(m)
 
     def discontinuous_mentions(self) -> list[Mention]:
         return [m for m in self.mentions if m.is_discontinuous]
@@ -253,12 +252,8 @@ def write_inline(corpus: Corpus) -> str:
 # Standoff (BRAT-style) format
 # ---------------------------------------------------------------------------
 
+# whitespace tokenization with punctuation split off as own tokens
 _PUNCT_SPLIT_RE = re.compile(r"\w+|[^\w\s]")
-
-
-def _tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
-    """Whitespace tokenization with punctuation split off as own tokens."""
-    return [(m.group(0), m.start(), m.end()) for m in _PUNCT_SPLIT_RE.finditer(text)]
 
 
 def parse_standoff(text_file: str, ann_file: str) -> tuple[Corpus, list[str]]:
@@ -280,7 +275,7 @@ def parse_standoff(text_file: str, ann_file: str) -> tuple[Corpus, list[str]]:
     for line in text_file.split("\n"):
         if line.strip():
             si = len(sent_tokens)
-            toks = _tokenize_with_offsets(line)
+            toks = [(m.group(0), m.start(), m.end()) for m in _PUNCT_SPLIT_RE.finditer(line)]
             for ti, (_, ts, te) in enumerate(toks):
                 start_map[pos + ts] = (si, ti)
                 end_map[pos + te] = (si, ti + 1)
@@ -303,29 +298,25 @@ def parse_standoff(text_file: str, ann_file: str) -> tuple[Corpus, list[str]]:
             offsets = []
         if not offsets or any(len(pair) != 2 for pair in offsets):
             raise CorpusError(f"malformed offsets in {line!r}", line=lineno)
-        frags = []
-        sent_ids = set()
-        ok = True
+        frags = []  # (sentence, start token, end token)
         for (cs, ce) in offsets:
             if cs not in start_map or ce not in end_map:
                 warnings.append(f"{parts[0]}: offset {cs}-{ce} not on a token boundary; mention skipped")
-                ok = False
                 break
             (si0, t0), (si1, t1) = start_map[cs], end_map[ce]
             if si0 != si1:
                 warnings.append(f"{parts[0]}: span {cs}-{ce} crosses a sentence boundary; mention skipped")
-                ok = False
                 break
-            sent_ids.add(si0)
-            frags.append((t0, t1))
-        if not ok:
+            frags.append((si0, t0, t1))
+        if len(frags) < len(offsets):
             continue
+        sent_ids = {si for si, _, _ in frags}
         if len(sent_ids) != 1:
             warnings.append(f"{parts[0]}: mention crosses sentence boundaries; skipped")
             continue
         si = sent_ids.pop()
         try:
-            mention = Mention(etype, tuple(Fragment(t0, t1) for t0, t1 in frags))
+            mention = Mention(etype, tuple(Fragment(t0, t1) for _, t0, t1 in frags))
         except CorpusError as exc:
             warnings.append(f"{parts[0]}: {exc}; mention skipped")
             continue
@@ -471,9 +462,6 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
     if mode is ResampleMode.UNDER_SAMPLE:
         k = min(len(disc), len(rest))
         chosen_idx = sorted(rng.choice(len(rest), size=k, replace=False).tolist())
-        kept = disc + [rest[i] for i in chosen_idx]
-        return Corpus(tuple(kept))
-    if mode is ResampleMode.OVER_SAMPLE:
-        copies = [disc[i % len(disc)] for i in range(max(len(rest), len(disc)))]
-        return Corpus(tuple(copies + rest))
-    raise ValueError(f"unknown mode {mode}")
+        return Corpus(tuple(disc + [rest[i] for i in chosen_idx]))
+    copies = [disc[i % len(disc)] for i in range(max(len(rest), len(disc)))]  # OVER_SAMPLE
+    return Corpus(tuple(copies + rest))

@@ -21,9 +21,9 @@ MENTION_LENGTH_BUCKETS = ("1", "2", "3", "4", "5+")
 INTERVAL_LENGTH_BUCKETS = ("0", "1", "2", "3", "4+")
 
 
-def _prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
-    p = tp / n_pred if n_pred else 0.0
-    r = tp / n_gold if n_gold else 0.0
+def _prf(pred_hit: int, n_pred: int, gold_hit: int, n_gold: int) -> tuple[float, float, float]:
+    p = pred_hit / n_pred if n_pred else 0.0
+    r = gold_hit / n_gold if n_gold else 0.0
     f = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return p, r, f
 
@@ -37,7 +37,7 @@ def strict_prf(gold: GoldPred, pred: GoldPred) -> tuple[float, float, float]:
     """Micro-averaged strict-match precision, recall and F1."""
     _check_lengths(gold, pred)
     tp = sum(len(g & p) for g, p in zip(gold, pred))
-    return _prf(tp, sum(len(p) for p in pred), sum(len(g) for g in gold))
+    return _prf(tp, sum(len(p) for p in pred), tp, sum(len(g) for g in gold))
 
 
 def eval_disc_sentences(gold: GoldPred, pred: GoldPred) -> tuple[float, float, float]:
@@ -49,7 +49,6 @@ def eval_disc_sentences(gold: GoldPred, pred: GoldPred) -> tuple[float, float, f
 
 def eval_disc_only(gold: GoldPred, pred: GoldPred) -> tuple[float, float, float]:
     """Both sides filtered to discontinuous mentions before matching."""
-    _check_lengths(gold, pred)
     g = [frozenset(m for m in s if m.is_discontinuous) for s in gold]
     p = [frozenset(m for m in s if m.is_discontinuous) for s in pred]
     return strict_prf(g, p)
@@ -83,9 +82,7 @@ def eval_by_category(gold: GoldPred, pred: GoldPred) -> dict[Category, dict]:
                     pred_hit[cat] += 1
     table = {}
     for cat in Category:
-        prec = pred_hit[cat] / pred_count[cat] if pred_count[cat] else 0.0
-        rec = gold_hit[cat] / gold_count[cat] if gold_count[cat] else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
+        prec, rec, f1 = _prf(pred_hit[cat], pred_count[cat], gold_hit[cat], gold_count[cat])
         table[cat] = {"gold": gold_count[cat], "precision": prec,
                       "recall": rec, "f1": f1}
     return table

@@ -29,8 +29,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .corpus import Corpus, CorpusError, Mention, Sentence, check_entity_type
 from .transitions import (Action, ActionKind, LEFT_REDUCE, OUT, ParserState,
-                          REDUCE, RIGHT_REDUCE, SHIFT, complete, is_terminal,
-                          apply as apply_action, oracle, valid_actions)
+                          REDUCE, RIGHT_REDUCE, SHIFT, check_finished, complete,
+                          given_action, is_terminal, apply as apply_action,
+                          oracle, valid_actions)
 
 UNK = "<unk>"
 # what a rollout calls its ops on: a tape when it trains, plain arrays when not
@@ -89,8 +90,14 @@ class Vocab:
     types: tuple[str, ...]
 
     def __post_init__(self):
-        """Words and chars are distinct and hold UNK; types are non-empty,
-        distinct and each obeys the entity-type rule."""
+        """All three are tuples; words and chars are distinct strings and
+        hold UNK; types are non-empty, distinct and each obeys the
+        entity-type rule."""
+        if not all(type(v) is tuple for v in (self.words, self.chars, self.types)):
+            raise ValueError("words, chars and types must be tuples")
+        for name in ("words", "chars"):
+            if not set(map(type, getattr(self, name))) <= {str}:
+                raise ValueError(f"{name} must hold only strings")
         object.__setattr__(self, "_word_idx", {w: i for i, w in enumerate(self.words)})
         object.__setattr__(self, "_char_idx", {c: i for i, c in enumerate(self.chars)})
         for name, index in (("words", self._word_idx), ("chars", self._char_idx)):
@@ -191,10 +198,7 @@ def init_params(config: ScorerConfig, vocab: Vocab) -> ScorerParams:
     rng = np.random.default_rng(config.seed)
     tensors = {}
     for name, shape in _shapes(config, vocab).items():
-        if len(shape) == 2:
-            fan = shape[0] + shape[1]
-        else:
-            fan = 2 * shape[0]
+        fan = shape[0] + shape[1] if len(shape) == 2 else 2 * shape[0]
         r = np.sqrt(6.0 / fan)
         tensors[name] = rng.uniform(-r, r, size=shape)
     return ScorerParams(tensors)
@@ -351,7 +355,8 @@ def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
 
 def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
              gold_actions: list[Action] | None = None):
-    """Run the parser; teacher-forced when gold_actions is given, else greedy.
+    """Run the parser; teacher-forced when gold_actions is given (held to the
+    rule and errors of `transitions.decode`), else greedy.
 
     Recorded ops build the tape a teacher-forced loss is differentiated on;
     Forward ops run the same arithmetic on plain arrays. Returns the per-step
@@ -373,12 +378,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
         feat = encode_parser_state(ops, neural, buffer_matrix)
         logits = ops.affine(p["out_W"], feat, p["out_b"])
         if gold_actions is not None:
-            step = state.step_count
-            if step >= len(gold_actions):
-                raise CorpusError("gold action sequence ends before the terminal state")
-            chosen = gold_actions[step]
-            if chosen not in valid:
-                raise CorpusError(f"gold action {chosen} invalid at step {step}")
+            chosen = given_action(gold_actions, len(losses), valid)
             gold_pos = valid_idx.index(action_idx[chosen])
             losses.append(ops.masked_nll(logits, valid_idx, gold_pos))
         else:
@@ -386,6 +386,8 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
         neural = _advance_neural(ops, config, neural, chosen, action_idx[chosen],
                                  state.buffer_pos, c_vecs)
         state = apply_action(state, chosen)
+    if gold_actions is not None:
+        check_finished(gold_actions, len(losses))
     return losses, state
 
 
@@ -603,7 +605,9 @@ def load_checkpoint(path: str) -> tuple[ScorerParams, ScorerConfig, Vocab]:
     try:
         meta = json.loads(body[12:meta_end].decode("utf-8"))
         config = ScorerConfig(**meta["config"])
-        vocab = Vocab(tuple(meta["words"]), tuple(meta["chars"]), tuple(meta["types"]))
+        # JSON arrays become tuples; any other value is Vocab's to refuse
+        vocab = Vocab(*(tuple(v) if type(v) is list else v
+                        for v in (meta["words"], meta["chars"], meta["types"])))
     except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise CorpusError(f"{path}: bad checkpoint metadata: {exc}") from exc
     shapes = _shapes(config, vocab)

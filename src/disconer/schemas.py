@@ -120,9 +120,7 @@ def _encode_roles(sentence: Sentence) -> TagSequence:
 def _segments(tags: TagSequence) -> list[tuple[str, Fragment, str]]:
     """Split a tag sequence into (class, fragment, type) components."""
     segs = []
-    start = None
-    cls = ""
-    etype = ""
+    start, cls, etype = None, "", ""
     for i, tag in enumerate(list(tags.tags) + [O_TAG]):
         ind = tag.indicator
         tag_cls = INDICATOR_CLASS[ind]

@@ -7,6 +7,11 @@ keeps the lower span, RIGHT-REDUCE keeps the upper one, supporting mentions
 that share components). States are immutable values; apply returns a fresh
 state, so per-sentence rollouts can run in parallel. Every rollout over n
 tokens ends within 4n - 1 actions, so no step limit is needed.
+
+A given action sequence is a derivation when it takes each action from the
+valid set of its state and ends in the terminal state. `given_action` and
+`check_finished` hold that rule for decode, trace and the teacher-forced
+rollout of the scorer.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ class ParserState:
     buffer_pos: int = 0
     stack: tuple[tuple[Fragment, ...], ...] = ()  # canonical partial spans
     outputs: tuple[Mention, ...] = ()
-    step_count: int = 0
 
 
 def is_terminal(state: ParserState, sentence_len: int) -> bool:
@@ -97,31 +101,47 @@ def valid_actions(state: ParserState, sentence_len: int,
     return valid
 
 
-class InvalidActionError(ValueError):
+class InvalidActionError(CorpusError):
+    """A given action outside the valid set of its state (empty when terminal)."""
+
     def __init__(self, action: Action, step: int):
         super().__init__(f"invalid action {action} at step {step}")
         self.action = action
         self.step = step
 
 
+def given_action(actions: list[Action], step: int, valid: set[Action]) -> Action:
+    """Action `step` of a given sequence, taken from a non-terminal state
+    with this valid set; a sequence with no action left stops short."""
+    if step == len(actions):
+        raise CorpusError("action sequence ends in a non-terminal state")
+    if actions[step] not in valid:
+        raise InvalidActionError(actions[step], step)
+    return actions[step]
+
+
+def check_finished(actions: list[Action], steps: int) -> None:
+    """A given sequence has no action after `steps` reach the terminal state."""
+    if steps < len(actions):
+        raise InvalidActionError(actions[steps], steps)
+
+
 def apply(state: ParserState, action: Action) -> ParserState:
     """The successor state after an action taken from valid_actions(state, ...).
 
-    Unchecked here: decode, trace and the teacher-forced rollout check the
-    actions they are given before they apply them.
+    Unchecked here: a given sequence is checked by `given_action` before
+    each of its actions is applied.
     """
-    steps = state.step_count + 1
     kind = action.kind
     if kind is ActionKind.SHIFT:
         span = (Fragment(state.buffer_pos, state.buffer_pos + 1),)
-        return ParserState(state.buffer_pos + 1, state.stack + (span,),
-                           state.outputs, steps)
+        return ParserState(state.buffer_pos + 1, state.stack + (span,), state.outputs)
     if kind is ActionKind.OUT:
-        return ParserState(state.buffer_pos + 1, state.stack, state.outputs, steps)
+        return ParserState(state.buffer_pos + 1, state.stack, state.outputs)
     if kind is ActionKind.COMPLETE:
         mention = Mention(action.entity_type, state.stack[-1])
         return ParserState(state.buffer_pos, state.stack[:-1],
-                           state.outputs + (mention,), steps)
+                           state.outputs + (mention,))
     s0, s1 = state.stack[-1], state.stack[-2]
     new_span = canonicalize(s1 + s0)
     below = state.stack[:-2]
@@ -129,27 +149,29 @@ def apply(state: ParserState, action: Action) -> ParserState:
         below = below + (s1,)
     elif kind is ActionKind.RIGHT_REDUCE:
         below = below + (s0,)
-    return ParserState(state.buffer_pos, below + (new_span,), state.outputs, steps)
+    return ParserState(state.buffer_pos, below + (new_span,), state.outputs)
+
+
+def _walk(actions: list[Action], sentence_len: int, type_set) -> tuple[list, ParserState]:
+    """Check and apply a given sequence: the (state, valid set) each action
+    is taken from, and the terminal state."""
+    state, taken = ParserState(), []
+    while not is_terminal(state, sentence_len):
+        valid = valid_actions(state, sentence_len, type_set)
+        action = given_action(actions, len(taken), valid)
+        taken.append((state, valid))
+        state = apply(state, action)
+    check_finished(actions, len(taken))
+    return taken, state
 
 
 def decode(actions: list[Action], sentence_len: int,
            type_set: tuple[str, ...] | list[str] | None = None) -> frozenset[Mention]:
-    """Run the action sequence and return its unique mention set.
-
-    Raises InvalidActionError on any invalid action (with the step index)
-    and CorpusError on a non-terminal final state. Duplicate COMPLETE
-    outputs collapse: strict-match evaluation is set-based.
-    """
+    """Run the action sequence and return its unique mention set. Duplicate
+    COMPLETE outputs collapse: strict-match evaluation is set-based."""
     if type_set is None:
         type_set = sorted({a.entity_type for a in actions if a.entity_type})
-    state = ParserState()
-    for action in actions:
-        if action not in valid_actions(state, sentence_len, type_set):
-            raise InvalidActionError(action, state.step_count)
-        state = apply(state, action)
-    if not is_terminal(state, sentence_len):
-        raise CorpusError("action sequence ends in a non-terminal state")
-    return frozenset(state.outputs)
+    return frozenset(_walk(actions, sentence_len, type_set)[1].outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +185,8 @@ def _is_prefix(frags: tuple[Fragment, ...], gold: tuple[Fragment, ...]) -> bool:
     left-anchored part of the corresponding gold fragment.
     """
     k = len(frags)
-    if k > len(gold):
+    if k > len(gold) or frags[:-1] != gold[:k - 1]:
         return False
-    for i in range(k - 1):
-        if frags[i] != gold[i]:
-            return False
     last, g = frags[-1], gold[k - 1]
     return last.start == g.start and last.end <= g.end
 
@@ -307,34 +326,24 @@ class TraceReport:
         }) for s in self.steps)
 
     def to_text(self) -> str:
-        lines = []
-        for s in self.steps:
-            lines.append(f"{s.step:3d}  stack=[{', '.join(s.stack)}]  "
-                         f"buffer=[{' '.join(s.buffer)}]  action={s.chosen}")
-        return "\n".join(lines)
+        return "\n".join(f"{s.step:3d}  stack=[{', '.join(s.stack)}]  "
+                         f"buffer=[{' '.join(s.buffer)}]  action={s.chosen}"
+                         for s in self.steps)
 
 
 def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
     """Step-by-step record of a rollout: stack contents, buffer, valid set.
-    Raises InvalidActionError on an action outside the valid set."""
-    n = len(sentence.tokens)
+    Refuses the same sequences as decode, with the same errors."""
     type_set = sorted({a.entity_type for a in actions if a.entity_type}
                       | {m.entity_type for m in sentence.mentions})
-    state = ParserState()
-    steps = []
-    for i, action in enumerate(actions):
-        valid = valid_actions(state, n, type_set)
-        if action not in valid:
-            raise InvalidActionError(action, state.step_count)
-        stack_strs = tuple(
-            " ".join(sentence.tokens[t] for f in span for t in f.tokens())
-            for span in state.stack)
-        steps.append(TraceStep(
+    taken, _ = _walk(actions, len(sentence.tokens), type_set)
+    return TraceReport(tuple(
+        TraceStep(
             step=i + 1,
-            stack=stack_strs,
+            stack=tuple(" ".join(sentence.tokens[t] for f in span for t in f.tokens())
+                        for span in state.stack),
             buffer=tuple(sentence.tokens[state.buffer_pos:]),
             valid=tuple(sorted(str(a) for a in valid)),
             chosen=str(action),
-        ))
-        state = apply(state, action)
-    return TraceReport(tuple(steps))
+        )
+        for i, ((state, valid), action) in enumerate(zip(taken, actions))))

@@ -209,6 +209,26 @@ def test_negative_seed_flag_is_one_error_line(workdir):
     assert not (workdir / "neg.bin").exists() and not (workdir / "neg.txt").exists()
 
 
+def test_convert_resample_takes_the_config_seed(workdir):
+    """`convert --resample` draws from the seed of `--config`, and `--seed`
+    overrides it, as in `train`."""
+    flat = make_corpus(20, 41, weights={"flat": 1.0})
+    disc = make_corpus(3, 42, weights={"no_overlap": 1.0})
+    (workdir / "mixed.txt").write_text(write_inline(Corpus(flat.sentences + disc.sentences)))
+    (workdir / "seed7.cfg").write_text("seed = 7\n")
+
+    def resampled(*flags) -> str:
+        out = workdir / "resampled.txt"
+        assert cli.main([*flags, "convert", str(workdir / "mixed.txt"), str(out),
+                         "--resample", "under_sample"]) == 0
+        return out.read_text()
+
+    by_config = resampled("--config", str(workdir / "seed7.cfg"))
+    assert by_config == resampled("--seed", "7") != resampled()
+    assert (resampled("--config", str(workdir / "seed7.cfg"), "--seed", "3")
+            == resampled("--seed", "3") != by_config)
+
+
 def test_standoff_types_the_inline_format_cannot_hold_are_skipped(workdir):
     (workdir / "odd.txt").write_text("muscle pain\n")
     (workdir / "odd.ann").write_text("T1\tA|B 0 6\tmuscle\nT2\t 0 6\tmuscle\n"
@@ -281,6 +301,19 @@ def test_checkpoint_without_unk_is_one_error_line(workdir):
                   cwd=workdir)
     assert out.stderr.strip().splitlines() == [_one_error_line(out)]
     assert "bad checkpoint metadata: words must include '<unk>'" in out.stderr
+
+
+@pytest.mark.parametrize("vocab", [{"types": "ADR"}, {"words": {"<unk>": 0}},
+                                   {"words": [1, "<unk>"]}])
+def test_checkpoint_vocabulary_of_no_list_of_strings_is_one_error_line(workdir, capsys,
+                                                                     vocab):
+    path = workdir / "oddvocab.bin"
+    _write_checkpoint_header(path, neural.CHECKPOINT_VERSION, {}, **vocab)
+    code = cli.main(["predict", str(workdir / "test.txt"), str(workdir / "oddvocab.txt"),
+                     "--checkpoint", str(path)])
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: bad checkpoint metadata: ")
 
 
 def test_checkpoint_of_version_3_is_refused(workdir, capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disconer import autodiff as ad
@@ -23,7 +23,8 @@ from disconer.neural import (ScorerConfig, ScorerParams, Vocab, attend,
                              sentence_loss, sgd_step, stack_pop, stack_push,
                              token_reps, train)
 from disconer.synth import make_corpus
-from disconer.transitions import REDUCE, oracle
+from disconer.transitions import OUT, REDUCE, decode, oracle, trace
+from strategies import non_nested_sentences
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,52 @@ def test_sentence_loss_rejects_an_invalid_gold_action():
     params = init_params(CONFIG, VOCAB)
     s = next(s for s in CORPUS if s.mentions)
     actions, _ = oracle(s)
-    with pytest.raises(CorpusError, match="gold action REDUCE invalid at step 0"):
+    with pytest.raises(CorpusError, match="invalid action REDUCE at step 0"):
         sentence_loss(s, [REDUCE] + actions, params, VOCAB, CONFIG)
+
+
+SEQ_CONFIG = ScorerConfig(word_dim=2, char_dim=2, char_cnn_window=1, char_filters=2,
+                          hidden_dim=2, stack_dim=2, action_dim=2)
+SEQ_VOCAB = Vocab(("<unk>",), ("<unk>",), ("A", "B"))
+SEQ_PARAMS = init_params(SEQ_CONFIG, SEQ_VOCAB)
+# the Figure 2 pattern; its oracle sequence has 8 actions
+SEQ_EXAMPLE = Sentence(("w0", "w1", "w2", "w3"),
+                       (Mention("A", (Fragment(0, 2),)),
+                        Mention("A", (Fragment(0, 1), Fragment(3, 4)))))
+
+
+def _outcome(run) -> tuple | None:
+    """None when `run` accepts its sequence, else the error's class and step."""
+    try:
+        run()
+    except CorpusError as exc:
+        return type(exc), getattr(exc, "step", None)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=non_nested_sentences(), edit=st.sampled_from(("truncate", "extend", "replace")),
+       at=st.integers(0, 40), action=st.sampled_from(SEQ_VOCAB.actions))
+@example(s=SEQ_EXAMPLE, edit="extend", at=8, action=OUT)     # an action after the terminal state
+@example(s=SEQ_EXAMPLE, edit="truncate", at=7, action=OUT)   # a sequence one action short
+def test_decode_trace_and_sentence_loss_accept_the_same_sequences(s, edit, at, action):
+    """An edited oracle sequence is accepted by all three or refused by all
+    three, with the same error class and step."""
+    gold, _ = oracle(s)
+    if edit == "truncate":
+        seq = gold[:at % len(gold)]
+    elif edit == "extend":
+        i = at % (len(gold) + 1)
+        seq = gold[:i] + [action] + gold[i:]
+    else:
+        i = at % len(gold)
+        seq = gold[:i] + [action] + gold[i + 1:]
+    by_decode = _outcome(lambda: decode(seq, len(s.tokens), SEQ_VOCAB.types))
+    by_trace = _outcome(lambda: trace(s, seq))
+    by_loss = _outcome(lambda: sentence_loss(s, seq, SEQ_PARAMS, SEQ_VOCAB, SEQ_CONFIG))
+    assert by_decode == by_trace == by_loss
+    if edit == "truncate":   # a proper prefix of a derivation never ends terminal
+        assert by_decode == (CorpusError, None)
 
 
 def test_finite_diff_small():
@@ -542,6 +587,18 @@ def test_checkpoint_vocabulary_is_held_to_the_vocab_rules(tmp_path, key, value, 
         Vocab(**{**asdict(TINY_VOCAB), key: tuple(value)})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("types", "ADR", "words, chars and types must be tuples"),
+    ("words", {"<unk>": 0}, "words, chars and types must be tuples"),
+    ("words", [1, "<unk>"], "words must hold only strings"),
+    ("chars", ["<unk>", None], "chars must hold only strings"),
+])
+def test_checkpoint_vocabulary_is_lists_of_strings(tmp_path, key, value, message):
+    """A JSON string or object is refused, not iterated into a vocabulary."""
+    data = _resigned_tiny_checkpoint(tmp_path / "m.ckpt", **{key: value})
+    assert f"bad checkpoint metadata: {message}" in _load_error(tmp_path / "bad.ckpt", data)
+
+
 def _with_unk(items):
     """Distinct items drawn from `items`, and UNK, in any order."""
     return st.lists(items, max_size=5, unique=True).flatmap(
@@ -640,7 +697,8 @@ def test_bench_tracer_splits_predict_without_a_tape():
     assert not any(name.startswith("autodiff.") for name in names), names
     assert {"neural.token_reps", "neural.encode_parser_state", "neural.advance",
             "transitions.apply"} <= names
-    assert tracer.counts["transitions.apply"] == final.step_count > len(s.tokens)
+    assert (tracer.counts["transitions.apply"] == tracer.counts["transitions.valid_actions"]
+            > len(s.tokens))
 
 
 def test_rollouts_check_each_step_once():

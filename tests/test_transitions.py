@@ -277,6 +277,6 @@ def test_oracle_decode_round_trip_on_arbitrary_mentions(s):
     assert decode(actions, n) == frozenset(s.mentions) - uncovered
     state = ParserState()
     for a in actions:
+        assert not is_terminal(state, n)  # no action after the terminal state
         state = apply(state, a)
     assert is_terminal(state, n)
-    assert state.step_count == len(actions)
