@@ -121,7 +121,7 @@ def given_action(actions: list[Action], step: int, valid: set[Action]) -> Action
 
 
 def check_finished(actions: list[Action], steps: int) -> None:
-    """A given sequence has no action after `steps` reach the terminal state."""
+    """A given sequence whose first `steps` actions reach the terminal state ends there."""
     if steps < len(actions):
         raise InvalidActionError(actions[steps], steps)
 
