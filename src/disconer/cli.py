@@ -190,10 +190,8 @@ def cmd_train(args) -> int:
             p, r, f1 = evaluation.strict_prf(gold, pred)
             record.update(dev_p=p, dev_r=r, dev_f1=f1)
         print(json.dumps(record))
-        if dev is not None:
-            print(f"epoch {epoch} dev_f1 {f1:.4f}")
-            if f1 > best["f1"]:
-                best.update(f1=f1, epoch=epoch, params=params.copy())
+        if dev is not None and f1 > best["f1"]:
+            best.update(f1=f1, epoch=epoch, params=params.copy())
 
     params, vocab, info = neural.train(train, config, vocab=vocab, epoch_hook=epoch_hook)
     if info["skipped_nested"]:
@@ -293,9 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def reads_config(args) -> bool:
+    """Whether the command reads `--config` and `--seed`: train, and convert
+    when it resamples."""
+    return args.command == "train" or (args.command == "convert" and args.resample is not None)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not reads_config(args):
+            for flag, value in (("--config", args.config), ("--seed", args.seed)):
+                if value is not None:
+                    raise CorpusError(f"{args.command} does not read {flag}; only train "
+                                      "and convert --resample do")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

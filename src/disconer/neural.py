@@ -10,7 +10,10 @@ softmax over the valid actions only.
 
 Everything is float64 and deterministic given the seed; training is plain
 per-sentence SGD with teacher forcing on oracle action sequences. Greedy
-prediction runs the same rollout forward only, on plain arrays.
+prediction runs the same rollout forward only, on plain arrays. The token
+encoder runs as whole-sentence ops, and the scoring op takes any number of
+steps: greedy prediction scores each step as it comes, teacher forcing all
+of a sentence's steps at once after the loop.
 """
 
 from __future__ import annotations
@@ -209,38 +212,28 @@ def init_params(config: ScorerConfig, vocab: Vocab) -> ScorerParams:
 # ---------------------------------------------------------------------------
 
 def token_reps(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig):
-    """Per-token contextual vectors c_i and their stacked (N, rep_dim) matrix,
-    which only attention reads (None when attention is off).
+    """The sentence's token encodings, each from one whole-sentence op:
+    the stack inputs proj (n, S) of the tokens, and with attention on their
+    contextual vectors reps (n, rep_dim) and the attention keys (n, 3S) of
+    the three span slots (both None when attention is off, as nothing reads
+    them).
 
-    Word embedding + char-CNN vector per token, BiLSTM over the sequence.
-    Unknown words map to the UNK embedding.
+    A token is its word embedding and char-CNN vector, and a BiLSTM runs
+    over the tokens. Unknown words map to the UNK embedding.
     """
     p = ops.p
-    n = len(sentence.tokens)
-    if n == 0:
-        return [], None
-
-    t_vecs = []
-    for tok in sentence.tokens:
-        wvec = ops.row(p["word_emb"], vocab.word_index(tok))
-        cemb = ops.rows_lookup(p["char_emb"], vocab.char_indices(tok))
-        cvec = ops.char_cnn(p["char_w"], p["char_b"], cemb)
-        t_vecs.append(ops.concat([wvec, cvec]))
-
-    zero_h = ops.zeros(config.hidden_dim)
-    fwd = []
-    h, c = zero_h, zero_h
-    for t in t_vecs:
-        h, c = ops.lstm_cell(p["lstm_fw_W"], p["lstm_fw_b"], t, h, c)
-        fwd.append(h)
-    bwd = [None] * n
-    h, c = zero_h, zero_h
-    for i in range(n - 1, -1, -1):
-        h, c = ops.lstm_cell(p["lstm_bw_W"], p["lstm_bw_b"], t_vecs[i], h, c)
-        bwd[i] = h
-
-    c_vecs = [ops.concat([fwd[i], bwd[i]]) for i in range(n)]
-    return c_vecs, ops.stack_rows(c_vecs) if config.attention else None
+    tokens = sentence.tokens
+    if not tokens:
+        return None, None, None
+    words = ops.rows_lookup(p["word_emb"], [vocab.word_index(tok) for tok in tokens])
+    chars = ops.rows_lookup(p["char_emb"], [c for tok in tokens for c in vocab.char_indices(tok)])
+    cnn = ops.char_cnn(p["char_w"], p["char_b"], chars, [len(tok) for tok in tokens])
+    reps = ops.bilstm(p["lstm_fw_W"], p["lstm_fw_b"], p["lstm_bw_W"], p["lstm_bw_b"],
+                      ops.concat([words, cnn]))
+    proj = ops.project(reps, [p["proj_W"]], p["proj_b"])
+    if not config.attention:
+        return proj, None, None
+    return proj, reps, ops.project(reps, [p["attn_W0"], p["attn_W1"], p["attn_W2"]])
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +273,16 @@ def compose(ops: Ops, s0, s1):
     return ops.affine(ops.p["comp_W"], ops.concat([s0, s1]), ops.p["comp_b"])
 
 
-def attend(ops: Ops, s_vec, buffer_matrix, W_a):
-    """Weighted sum of buffer rows; the zero vector on an empty buffer (None)."""
-    if buffer_matrix is None:
-        return ops.zeros(W_a.shape[1])
-    return ops.attend(s_vec, W_a, buffer_matrix)
+def attend(ops: Ops, spans: list, history, starts: list[int], reps, keys):
+    """The logits (T, n_actions) of T parser states, from one scoring op.
+
+    Step t has its three top-span vectors spans[t], its action-history row
+    history[t] and its buffer start starts[t]. Each span attends over the
+    buffer rows of reps from that start (the zero vector on an empty buffer,
+    and always when attention is off, reps None); the output layer maps the
+    features to the logits in the same op.
+    """
+    return ops.score(spans, history, starts, reps, keys, ops.p["out_W"], ops.p["out_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,32 +297,37 @@ class _NeuralState:
     act_c: Tensor | np.ndarray | None = None
 
 
-def encode_parser_state(ops: Ops, neural: _NeuralState, buffer_matrix):
-    """[s0, s1, s2, s^a_0, s^a_1, s^a_2, a] with empties substituted.
-
-    Missing spans are replaced by s_empty everywhere, including as the
-    attention query. Attention terms are zero vectors when there is no buffer
-    matrix (None): on an empty buffer, and always when the attention path is
-    disabled (ablation).
-    """
+def encode_parser_state(ops: Ops, neural: _NeuralState):
+    """The step's three top-span vectors, s_empty where the stack is shorter,
+    and its action-history vector, a_empty before the first action."""
     p = ops.p
-    spans = [neural.stack[-1 - i].h if len(neural.stack) > i else p["s_empty"]
-             for i in range(3)]
-    attended = [attend(ops, s, buffer_matrix, p[f"attn_W{i}"]) for i, s in enumerate(spans)]
-    act = neural.act_h if neural.act_h is not None else p["a_empty"]
-    return ops.concat(spans + attended + [act])
+    spans = tuple(neural.stack[-1 - i].h if len(neural.stack) > i else p["s_empty"]
+                  for i in range(3))
+    return spans, neural.act_h if neural.act_h is not None else p["a_empty"]
+
+
+def action_history(ops: Ops, taken: list[int]):
+    """The action-history rows of a teacher-forced rollout, from one
+    sequence op: a_empty, then the action LSTM's state after each action of
+    `taken`. Greedy prediction advances the same LSTM one action per step."""
+    p = ops.p
+    if not taken:
+        return ops.stack_rows([p["a_empty"]])
+    emb = ops.rows_lookup(p["act_emb"], taken)
+    return ops.stack_rows([p["a_empty"], ops.lstm_seq(p["act_W"], p["act_b"], emb)])
 
 
 def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
-                    action: Action, action_idx: int, buffer_pos: int,
-                    c_vecs: list) -> _NeuralState:
-    """Mirror one symbolic action on the neural stack and history."""
+                    action: Action, buffer_pos: int, proj,
+                    action_idx: int | None = None) -> _NeuralState:
+    """Mirror one symbolic action on the neural stack, and on the action
+    history when action_idx is given (greedy); teacher forcing runs the
+    history after the loop, in `action_history`."""
     p = ops.p
     stack = neural.stack
     kind = action.kind
     if kind is ActionKind.SHIFT:
-        vec = ops.affine(p["proj_W"], c_vecs[buffer_pos], p["proj_b"])
-        stack = stack_push(ops, config, stack, vec)
+        stack = stack_push(ops, config, stack, ops.pick(proj, buffer_pos))
     elif kind is ActionKind.OUT:
         pass
     elif kind is ActionKind.COMPLETE:
@@ -339,6 +342,8 @@ def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
             stack = stack_push(ops, config, stack, e0.vec)
         stack = stack_push(ops, config, stack, new_vec)
 
+    if action_idx is None:
+        return _NeuralState(stack)
     if neural.act_h is None:
         zero = ops.zeros(config.action_dim)
         h_prev, c_prev = zero, zero
@@ -358,37 +363,45 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
     """Run the parser; teacher-forced when gold_actions is given (held to the
     rule and errors of `transitions.decode`), else greedy.
 
-    Recorded ops build the tape a teacher-forced loss is differentiated on;
-    Forward ops run the same arithmetic on plain arrays. Returns the per-step
-    losses (empty when greedy) and the final symbolic state.
+    Greedy scores each step as it comes. Under teacher forcing no score
+    feeds back into the loop, so the loop only records each step's span
+    vectors, buffer start and valid set, and one scoring call and one
+    masked-NLL op cover all T steps after it. Recorded ops build the tape a
+    teacher-forced loss is differentiated on; Forward ops run the same
+    arithmetic on plain arrays. Returns the summed loss (None when greedy or
+    when there is no step) and the final symbolic state.
     """
-    p = ops.p
     n = len(sentence.tokens)
     actions, action_idx = vocab.actions, vocab.action_index
-    c_vecs, c_matrix = token_reps(ops, sentence, vocab, config)
+    proj, reps, keys = token_reps(ops, sentence, vocab, config)
+    teacher = gold_actions is not None
 
     state = ParserState()
     neural = _NeuralState()
-    losses = []
+    steps, starts, valids, taken = [], [], [], []
     while not is_terminal(state, n):
         valid = valid_actions(state, n, vocab.types)
         valid_idx = sorted(action_idx[a] for a in valid)
-        buffer_matrix = (ops.rows_slice(c_matrix, state.buffer_pos, n)
-                         if config.attention and state.buffer_pos < n else None)
-        feat = encode_parser_state(ops, neural, buffer_matrix)
-        logits = ops.affine(p["out_W"], feat, p["out_b"])
-        if gold_actions is not None:
-            chosen = given_action(gold_actions, len(losses), valid)
-            gold_pos = valid_idx.index(action_idx[chosen])
-            losses.append(ops.masked_nll(logits, valid_idx, gold_pos))
+        spans, act = encode_parser_state(ops, neural)
+        if teacher:
+            chosen = given_action(gold_actions, len(taken), valid)
+            steps.append(spans)
+            starts.append(state.buffer_pos)
+            valids.append(valid_idx)
         else:
-            chosen = actions[valid_idx[int(np.argmax(logits[valid_idx]))]]
-        neural = _advance_neural(ops, config, neural, chosen, action_idx[chosen],
-                                 state.buffer_pos, c_vecs)
+            logits = attend(ops, [spans], ops.stack_rows([act]), [state.buffer_pos], reps, keys)
+            chosen = actions[valid_idx[int(np.argmax(logits[0, valid_idx]))]]
+        taken.append(action_idx[chosen])
+        neural = _advance_neural(ops, config, neural, chosen, state.buffer_pos, proj,
+                                 None if teacher else taken[-1])
         state = apply_action(state, chosen)
-    if gold_actions is not None:
-        check_finished(gold_actions, len(losses))
-    return losses, state
+    if not teacher:
+        return None, state
+    check_finished(gold_actions, len(taken))
+    if not taken:
+        return None, state
+    logits = attend(ops, steps, action_history(ops, taken[:-1]), starts, reps, keys)
+    return ops.masked_nll(logits, valids, taken), state
 
 
 def sentence_loss(sentence: Sentence, gold_actions: list[Action],
@@ -396,10 +409,8 @@ def sentence_loss(sentence: Sentence, gold_actions: list[Action],
                   config: ScorerConfig) -> tuple[Tensor, Tape]:
     """Sum of per-step NLL of gold actions under the valid-masked softmax."""
     tape = Tape()
-    losses, _ = _rollout(ad.Recorded(tape, params.t), sentence, vocab, config,
-                         gold_actions)
-    loss = ad.add_n(tape, losses) if losses else tape._node(np.asarray(0.0))
-    return loss, tape
+    loss, _ = _rollout(ad.Recorded(tape, params.t), sentence, vocab, config, gold_actions)
+    return (loss if loss is not None else tape._node(np.asarray(0.0))), tape
 
 
 def predict(sentence: Sentence, params: ScorerParams, vocab: Vocab,
@@ -426,7 +437,7 @@ def sgd_step(params: ScorerParams, learning_rate: float) -> None:
     """
     stepped = [(name, t) for name, t in params.t.items() if t.grad is not None]
     for name, t in stepped:
-        if not np.all(np.isfinite(t.grad)):
+        if not np.isfinite(t.grad).all():
             raise FloatingPointError(f"non-finite gradient in {name}")
     for _, t in stepped:
         ad.step(t, learning_rate)
@@ -509,8 +520,7 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     forward = ad.Forward(params.arrays())   # sees the in-place nudges below
 
     def loss_value() -> float:
-        losses, _ = _rollout(forward, sentence, vocab, config, gold_actions)
-        return float(sum(losses))
+        return float(_rollout(forward, sentence, vocab, config, gold_actions)[0])
 
     params.zero_grad()
     loss, tape = sentence_loss(sentence, gold_actions, params, vocab, config)

@@ -72,18 +72,19 @@ def test_char_cnn_gradients():
     rng = np.random.default_rng(1)
     filters = ad.leaf(rng.normal(size=(3, 2 * 2)))
     bias = ad.leaf(rng.normal(size=3))
-    emb = ad.leaf(rng.normal(size=(5, 2)))
-    v = rng.normal(size=3)
+    lengths = [5, 1, 3]      # one word shorter than the window
+    emb = ad.leaf(rng.normal(size=(sum(lengths), 2)))
+    v = rng.normal(size=(3, 3))
 
     def forward():
         tape = ad.Tape()
-        out = ad.char_cnn(tape, filters, bias, emb)
-        return float(v @ out.data)
+        out = ad.char_cnn(tape, filters, bias, emb, lengths)
+        return float((v * out.data).sum())
 
     tape = ad.Tape()
-    out = ad.char_cnn(tape, filters, bias, emb)
-    total = ad.affine(tape, ad.leaf(v[None, :]), out, ad.leaf(np.zeros(1)))
-    ad.backward(tape, total)
+    out = ad.char_cnn(tape, filters, bias, emb, lengths)
+    out.grad = v
+    out._backward()
     for t in (filters, bias, emb):
         assert np.allclose(t.grad, _num_grad(forward, t.data), atol=1e-6)
 
@@ -93,20 +94,27 @@ def test_char_cnn_pads_short_words():
     filters = ad.leaf(np.ones((2, 3 * 2)))
     bias = ad.leaf(np.zeros(2))
     emb = ad.leaf(np.ones((1, 2)))  # shorter than window 3
-    out = ad.char_cnn(tape, filters, bias, emb)
-    assert out.data.shape == (2,)
+    out = ad.char_cnn(tape, filters, bias, emb, [1])
+    assert out.data.shape == (1, 2)
+    # the one window holds the character and two zero rows
+    assert np.array_equal(out.data, np.full((1, 2), 2.0))
 
 
 def test_attend_weights_and_empty_buffer():
     rng = np.random.default_rng(2)
-    q = rng.normal(size=4)
-    W = rng.normal(size=(4, 3))
-    B = rng.normal(size=(5, 3))
-    w = ad.attention_weights(q, W, B)
-    assert w.shape == (5,)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    empty = attend(ad.Recorded(ad.Tape(), {}), ad.leaf(q), None, ad.leaf(W))
-    assert np.array_equal(empty.data, np.zeros(3))
+    S, n = 4, 5
+    spans = rng.normal(size=(3, S))
+    keys = rng.normal(size=(n, 3 * S))
+    w = ad.attention_weights(spans, 2, keys)
+    assert w.shape == (3, n - 2)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    # on an empty buffer (start n) the attention terms are zero vectors
+    R, A = 3, 2
+    p = {"out_W": np.eye(3 * S + 3 * R + A), "out_b": np.zeros(3 * S + 3 * R + A)}
+    reps = rng.normal(size=(n, R))
+    act = rng.normal(size=(1, A))
+    logits = attend(ad.Forward(p), [tuple(spans)], act, [n], reps, keys)
+    assert np.array_equal(logits[0], np.concatenate([spans.ravel(), np.zeros(3 * R), act[0]]))
 
 
 def test_attend_single_row_returns_row():
@@ -129,18 +137,18 @@ def test_masked_softmax_properties():
 
 def test_masked_nll_gradient():
     rng = np.random.default_rng(4)
-    logits = ad.leaf(rng.normal(size=6))
-    valid = [0, 2, 5]
+    logits = ad.leaf(rng.normal(size=(2, 6)))
+    valid, gold = [[0, 2, 5], [1, 3]], [2, 1]
 
     def forward():
         tape = ad.Tape()
-        return float(ad.masked_nll(tape, logits, valid, 1).data)
+        return float(ad.masked_nll(tape, logits, valid, gold).data)
 
     tape = ad.Tape()
-    loss = ad.masked_nll(tape, logits, valid, 1)
+    loss = ad.masked_nll(tape, logits, valid, gold)
     ad.backward(tape, loss)
     assert np.allclose(logits.grad, _num_grad(forward, logits.data), atol=1e-6)
-    assert logits.grad[1] == 0.0 and logits.grad[3] == 0.0
+    assert np.all(logits.grad[0, [1, 3, 4]] == 0.0) and np.all(logits.grad[1, [0, 2, 4, 5]] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +207,14 @@ def test_token_reps_shapes():
     params = init_params(CONFIG, VOCAB)
     s = CORPUS.sentences[0]
     tape = ad.Tape()
-    vecs, matrix = token_reps(ad.Recorded(tape, params.t), s, VOCAB, CONFIG)
-    assert len(vecs) == len(s.tokens)
-    assert all(v.data.shape == (CONFIG.rep_dim,) for v in vecs)
-    assert matrix.data.shape == (len(s.tokens), CONFIG.rep_dim)
+    proj, reps, keys = token_reps(ad.Recorded(tape, params.t), s, VOCAB, CONFIG)
+    n = len(s.tokens)
+    assert proj.data.shape == (n, CONFIG.stack_dim)
+    assert reps.data.shape == (n, CONFIG.rep_dim)
+    assert keys.data.shape == (n, 3 * CONFIG.stack_dim)
+    off = replace(CONFIG, attention=False)
+    proj, reps, keys = token_reps(ad.Recorded(tape, params.t), s, VOCAB, off)
+    assert proj.data.shape == (n, CONFIG.stack_dim) and reps is None and keys is None
 
 
 def test_stack_push_pop_exact_restore():
@@ -659,8 +671,7 @@ def test_bench_tracer_hooks_resolve():
     names = {tracer.names[span[0]] for span in tracer.spans}
     assert {"neural.token_reps", "neural.encode_parser_state", "neural.advance",
             "neural.stack_push", "neural.sgd_step", "autodiff.masked_nll",
-            "autodiff.backward", "autodiff.lstm_cell.bilstm.bwd",
-            "autodiff.row.bwd", "autodiff.rows_lookup.bwd"} <= names
+            "autodiff.backward", "autodiff.rows_lookup.bwd"} <= names
     assert tracer.counts["sgd_steps"] == 1
     assert tracer.counts["grad_bytes"] == grad_bytes
     assert grad_bytes < sum(t.data.nbytes for t in params.t.values())
@@ -725,8 +736,9 @@ def test_rollouts_check_each_step_once():
 
 def test_attention_off_slices_no_buffer(monkeypatch):
     """The ablation passes no buffer to the attention terms: the zero vector
-    comes from attend alone, and no buffer matrix is built or sliced."""
-    calls = {"rows_slice": 0, "stack_rows": 0}
+    comes from the scoring op alone, and no key product or attention kernel
+    runs."""
+    calls = {"project": 0, "_attention": 0}
     for name in calls:
         def counting(*args, _name=name, _op=getattr(ad, name)):
             calls[_name] += 1
@@ -735,11 +747,11 @@ def test_attention_off_slices_no_buffer(monkeypatch):
     s = next(s for s in CORPUS if s.mentions)
     actions, _ = oracle(s)
     for attention in (True, False):
-        calls.update(rows_slice=0, stack_rows=0)
+        calls.update(project=0, _attention=0)
         config = replace(CONFIG, attention=attention)
         sentence_loss(s, actions, init_params(config, VOCAB), VOCAB, config)
-        assert bool(calls["rows_slice"]) is attention
-        assert calls["stack_rows"] == int(attention)
+        assert calls["project"] == 1 + int(attention)     # the stack inputs, then the keys
+        assert calls["_attention"] == int(attention)
 
 
 def test_predict_constructs_no_tensor(monkeypatch):
@@ -785,37 +797,53 @@ def test_forward_kernels_match_the_tape_ops_bitwise():
     def arrays(*shapes):
         return [rng.normal(size=shape) for shape in shapes]
 
-    for _ in range(25):
-        H, D, n = (int(k) for k in rng.integers(1, 7, size=3))
+    def leaves(args):
+        """Arrays, and arrays inside lists and tuples, become leaves."""
+        if isinstance(args, np.ndarray):
+            return ad.leaf(args)
+        if isinstance(args, (list, tuple)) and any(isinstance(a, (np.ndarray, list, tuple))
+                                                  for a in args):
+            return type(args)(leaves(a) for a in args)
+        return args
+
+    assert set(ad.Recorded._OPS) <= set(dir(ad.Forward))
+    for trial in range(25):
+        H, D, n, T = (int(k) for k in rng.integers(1, 7, size=4))
+        lengths = [int(k) for k in rng.integers(1, 6, size=n)]
+        starts = sorted(int(k) for k in rng.integers(0, n + 1, size=T))
+        attention = trial % 2 == 0
         tape = ad.Tape()
         rec = ad.Recorded(tape, {})
         cases = {
             "affine": arrays((H, D), (D,), (H,)),
             "lstm_cell": arrays((4 * H, D + H), (4 * H,), (D,), (H,), (H,)),
-            "char_cnn": arrays((H, 3 * D), (H,), (n, D)),
+            "lstm_seq": arrays((4 * H, D + H), (4 * H,), (n, D)),
+            "bilstm": arrays((4 * H, D + H), (4 * H,), (4 * H, D + H), (4 * H,), (n, D)),
+            "char_cnn": arrays((H, 3 * D), (H,), (sum(lengths), D)) + [lengths],
             "attend": arrays((H,), (H, D), (n, D)),
+            "score": [[tuple(arrays((H,), (H,), (H,))) for _ in range(T)],
+                      *arrays((T, D)), starts,
+                      *(arrays((n, 2), (n, 3 * H)) if attention else [None, None]),
+                      *arrays((4, 3 * H + 6 + D), (4,))],
+            "masked_nll": arrays((T, 6)) + [[[0, 2, 5]] * T, [2] * T],
+            "project": [*arrays((n, D)), arrays((H, D), (2, D)), *arrays((H + 2,))],
             "rows_slice": arrays((n + 2, D)) + [1, n + 1],
             "row": arrays((n, D)) + [n - 1],
+            "pick": arrays((n, D)) + [n - 1],
             "rows_lookup": arrays((n, D)) + [[n - 1, 0, n - 1]],
+            "concat": [arrays((H,), (D,), (n,))],
+            "stack_rows": [arrays((D,), (n, D), (D,))],
         }
         for name, args in cases.items():
-            const = [a for a in args if not isinstance(a, np.ndarray)]
-            leaves = [ad.leaf(a) for a in args if isinstance(a, np.ndarray)]
             got = getattr(fwd, name)(*args)
-            want = getattr(rec, name)(*leaves, *const)
+            want = getattr(rec, name)(*leaves(args))
             if name == "lstm_cell":
                 assert all(g.tobytes() == w.data.tobytes() for g, w in zip(got, want))
             else:
                 assert got.tobytes() == want.data.tobytes(), name
-        parts = arrays((H,), (D,), (n,))
+        parts = arrays((n, H), (n, D))
         assert fwd.concat(parts).tobytes() == \
             rec.concat([ad.leaf(p) for p in parts]).data.tobytes()
-        rows = arrays((D,), (D,), (D,))
-        assert fwd.stack_rows(rows).tobytes() == \
-            rec.stack_rows([ad.leaf(r) for r in rows]).data.tobytes()
-        logits = rng.normal(size=6)
-        assert fwd.masked_nll(logits, [0, 2, 5], 1).tobytes() == \
-            rec.masked_nll(ad.leaf(logits), [0, 2, 5], 1).data.tobytes()
 
 
 def test_fused_sigmoid_is_bitwise_three_calls():
@@ -894,3 +922,310 @@ def test_lstm_cell_matches_the_unfused_reference_bitwise():
         assert h2.data.tobytes() == h_ref.tobytes() and c2.data.tobytes() == c_ref.tobytes()
         for leaf, want in zip(leaves, grads_ref):
             assert leaf.grad.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Whole-sentence ops against today's per-token path
+# ---------------------------------------------------------------------------
+
+def _close(got, want, rel=1e-12):
+    """Equal to `rel` relative to the largest magnitude in `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = float(np.abs(want).max(initial=0.0))
+    assert float(np.abs(got - want).max(initial=0.0)) <= rel * scale
+
+
+def _backprop(tape, out, dout):
+    """Replay the tape from `out` with the gradient `dout`."""
+    out.grad = dout
+    for t in reversed(tape.nodes):
+        if t._backward is not None:
+            t._backward()
+
+
+def _word_char_cnn_reference(filters, bias, emb, dout):
+    """Today's per-word char CNN on one word's rows, zero-padded up to the
+    window: the output and the gradients of filters, bias and emb."""
+    window = filters.shape[1] // emb.shape[1]
+    padded = np.vstack([emb, np.zeros((max(window - len(emb), 0), emb.shape[1]))])
+    windows = np.stack([padded[p:p + window].ravel()
+                        for p in range(len(padded) - window + 1)])
+    responses = windows @ filters.T + bias
+    best = np.argmax(responses, axis=0)
+    dpadded = np.zeros_like(padded)
+    for k, p in enumerate(best):
+        dpadded[p:p + window] += (dout[k] * filters[k]).reshape(window, -1)
+    return (responses[best, np.arange(len(bias))], dout[:, None] * windows[best], dout,
+            dpadded[:len(emb)])
+
+
+def test_char_cnn_matches_the_per_word_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        F, char_dim = (int(k) for k in rng.integers(1, 5, size=2))
+        window = int(rng.choice([1, 3, 5]))
+        lengths = [int(k) for k in rng.integers(1, 8, size=int(rng.integers(1, 6)))]
+        filters, bias = rng.normal(size=(F, window * char_dim)), rng.normal(size=F)
+        emb = rng.normal(size=(sum(lengths), char_dim))
+        dout = rng.normal(size=(len(lengths), F))
+        leaves = [ad.leaf(a) for a in (filters, bias, emb)]
+        tape = ad.Tape()
+        _backprop(tape, ad.char_cnn(tape, *leaves, lengths), dout)
+        ends = np.cumsum(lengths)
+        refs = [_word_char_cnn_reference(filters, bias, emb[end - k:end], dout[i])
+                for i, (k, end) in enumerate(zip(lengths, ends))]
+        _close(tape.nodes[0].data, np.stack([r[0] for r in refs]))
+        _close(leaves[0].grad, sum(r[1] for r in refs))
+        _close(leaves[1].grad, sum(r[2] for r in refs))
+        _close(leaves[2].grad, np.vstack([r[3] for r in refs]))
+
+
+def _lstm_chain(tape, W, b, X, order):
+    """Today's per-token LSTM: one lstm_cell per row of X, in `order`."""
+    H = b.data.shape[0] // 4
+    zero = ad.leaf(np.zeros(H))
+    h = c = zero
+    out = [None] * X.data.shape[0]
+    for i in order:
+        h, c = ad.lstm_cell(tape, W, b, ad.pick(tape, X, i), h, c)
+        out[i] = h
+    return out
+
+
+def test_bilstm_and_lstm_seq_match_the_lstm_cell_chain():
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        H, D, n = (int(k) for k in rng.integers(1, 6, size=3))
+        arrays = [rng.normal(scale=1.5, size=s) for s in
+                  ((4 * H, D + H), (4 * H,), (4 * H, D + H), (4 * H,), (n, D))]
+        dout = rng.normal(size=(n, 2 * H))
+        new = [ad.leaf(a) for a in arrays]
+        tape = ad.Tape()
+        out = ad.bilstm(tape, *new)
+        _backprop(tape, out, dout)
+        ref = [ad.leaf(a) for a in arrays]
+        tape = ad.Tape()
+        fw = _lstm_chain(tape, ref[0], ref[1], ref[4], range(n))
+        bw = _lstm_chain(tape, ref[2], ref[3], ref[4], range(n - 1, -1, -1))
+        ref_out = ad.stack_rows(tape, [ad.concat(tape, [f, b]) for f, b in zip(fw, bw)])
+        _backprop(tape, ref_out, dout)
+        _close(out.data, ref_out.data)
+        for got, want in zip(new, ref):
+            _close(got.grad, want.grad)
+
+        new = [ad.leaf(a) for a in (arrays[0], arrays[1], arrays[4])]
+        tape = ad.Tape()
+        out = ad.lstm_seq(tape, *new)
+        _backprop(tape, out, dout[:, :H])
+        ref = [ad.leaf(a) for a in (arrays[0], arrays[1], arrays[4])]
+        tape = ad.Tape()
+        ref_out = ad.stack_rows(tape, _lstm_chain(tape, *ref, range(n)))
+        _backprop(tape, ref_out, dout[:, :H])
+        _close(out.data, ref_out.data)
+        for got, want in zip(new, ref):
+            _close(got.grad, want.grad)
+
+
+def _score_case(rng, T, n, attention):
+    """Random inputs of the scoring op; some steps share a span vector, and
+    the starts include empty buffers."""
+    S, R, A, n_actions = 3, 4, 2, 5
+    pool = [rng.normal(size=S) for _ in range(4)]
+    spans = [tuple(pool[int(k)] for k in rng.integers(0, 4, size=3)) for _ in range(T)]
+    starts = [int(k) for k in rng.integers(0, n + 1, size=T)]
+    return dict(pool=pool, spans=spans, starts=starts, acts=rng.normal(size=(T, A)),
+                reps=rng.normal(size=(n, R)) if attention else None,
+                Ws=[rng.normal(size=(S, R)) for _ in range(3)],
+                W=rng.normal(size=(n_actions, 3 * S + 3 * R + A)), b=rng.normal(size=n_actions))
+
+
+def test_score_matches_per_step_attend_and_affine():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        T, n = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        case = _score_case(rng, T, n, attention=trial % 4 != 3)
+        dout = rng.normal(size=(T, len(case["b"])))
+        grads = []
+        for path in ("new", "reference"):
+            pool = {id(a): ad.leaf(a) for a in case["pool"]}
+            spans = [tuple(pool[id(a)] for a in step) for step in case["spans"]]
+            acts, W, b = ad.leaf(case["acts"]), ad.leaf(case["W"]), ad.leaf(case["b"])
+            Ws = [ad.leaf(w) for w in case["Ws"]]
+            reps = None if case["reps"] is None else ad.leaf(case["reps"])
+            tape = ad.Tape()
+            if path == "new":
+                keys = None if reps is None else ad.project(tape, reps, Ws)
+                out = ad.score(tape, spans, acts, case["starts"], reps, keys, W, b)
+            else:
+                rows = []
+                for t, (step, start) in enumerate(zip(spans, case["starts"])):
+                    attended = [ad.attend(tape, s, Wi, ad.rows_slice(tape, reps, start, n))
+                                if reps is not None and start < n else ad.leaf(np.zeros(4))
+                                for s, Wi in zip(step, Ws)]
+                    feat = ad.concat(tape, [*step, *attended, ad.pick(tape, acts, t)])
+                    rows.append(ad.affine(tape, W, feat, b))
+                out = ad.stack_rows(tape, rows)
+            _backprop(tape, out, dout)
+            grads.append([out.data, acts.grad, W.grad, b.grad,
+                          *(ad.dense_grad(x) for x in (*pool.values(), *Ws)),
+                          *([] if reps is None else [ad.dense_grad(reps)])])
+        for got, want in zip(*grads):
+            _close(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 8), n=st.integers(1, 6),
+       attention=st.booleans())
+def test_score_on_t_rows_equals_t_calls_of_one_row(seed, T, n, attention):
+    case = _score_case(np.random.default_rng(seed), T, n, attention)
+    reps = case["reps"]
+    keys = None if reps is None else ad._project(reps, case["Ws"], None)[0]
+    fwd = ad.Forward({})
+    rows = fwd.score(case["spans"], case["acts"], case["starts"], reps, keys, case["W"], case["b"])
+    for t in range(T):
+        one = fwd.score(case["spans"][t:t + 1], case["acts"][t:t + 1], case["starts"][t:t + 1],
+                        reps, keys, case["W"], case["b"])
+        _close(rows[t:t + 1], one)
+
+
+def test_masked_nll_matches_the_per_row_reference():
+    rng = np.random.default_rng(24)
+    for _ in range(30):
+        T, n_actions = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        logits = ad.leaf(rng.normal(scale=3.0, size=(T, n_actions)))
+        valid = [sorted(int(k) for k in rng.choice(n_actions, size=int(rng.integers(1, n_actions + 1)),
+                                                  replace=False)) for _ in range(T)]
+        gold = [int(rng.choice(v)) for v in valid]
+        tape = ad.Tape()
+        loss = ad.masked_nll(tape, logits, valid, gold)
+        ad.backward(tape, loss)
+        want_loss, want_grad = 0.0, np.zeros((T, n_actions))
+        for t, (v, g) in enumerate(zip(valid, gold)):
+            z = logits.data[t, v]
+            lse = z.max() + np.log(np.exp(z - z.max()).sum())
+            want_loss += lse - logits.data[t, g]
+            want_grad[t, v] = np.exp(z - lse)
+            want_grad[t, g] -= 1.0
+        _close(loss.data, want_loss)
+        _close(logits.grad, want_grad)
+
+
+def _per_token_loss(sentence, gold_actions, params, vocab, config):
+    """Today's per-token path of the teacher-forced loss: per token a word
+    row, a char-CNN call and a concat; the BiLSTM as lstm_cell steps; per
+    step the stack input through proj_W, three attend nodes over a
+    rows_slice of the stacked token vectors, the output affine, one NLL node
+    and one action-LSTM step; add_n over the steps."""
+    from disconer.transitions import ActionKind, ParserState, apply, is_terminal, valid_actions
+    tape = ad.Tape()
+    ops = ad.Recorded(tape, params.t)
+    p, n = params.t, len(sentence.tokens)
+    t_vecs = []
+    for tok in sentence.tokens:
+        chars = ops.rows_lookup(p["char_emb"], vocab.char_indices(tok))
+        cvec = ops.pick(ops.char_cnn(p["char_w"], p["char_b"], chars, [len(tok)]), 0)
+        t_vecs.append(ops.concat([ops.row(p["word_emb"], vocab.word_index(tok)), cvec]))
+    X = ops.stack_rows(t_vecs)
+    fwd = _lstm_chain(tape, p["lstm_fw_W"], p["lstm_fw_b"], X, range(n))
+    bwd = _lstm_chain(tape, p["lstm_bw_W"], p["lstm_bw_b"], X, range(n - 1, -1, -1))
+    c_vecs = [ops.concat([f, b]) for f, b in zip(fwd, bwd)]
+    C = ops.stack_rows(c_vecs)
+    state, stack, act_h, act_c, losses = ParserState(), (), None, None, []
+    while not is_terminal(state, n):
+        valid_idx = sorted(vocab.action_index[a] for a in valid_actions(state, n, vocab.types))
+        spans = [stack[-1 - i].h if len(stack) > i else p["s_empty"] for i in range(3)]
+        attended = [ops.attend(s, p[f"attn_W{i}"], ops.rows_slice(C, state.buffer_pos, n))
+                    if config.attention and state.buffer_pos < n else ops.zeros(config.rep_dim)
+                    for i, s in enumerate(spans)]
+        act = act_h if act_h is not None else p["a_empty"]
+        logits = ops.affine(p["out_W"], ops.concat(spans + attended + [act]), p["out_b"])
+        chosen = gold_actions[len(losses)]
+        idx = vocab.action_index[chosen]
+        losses.append(ops.masked_nll(ops.stack_rows([logits]), [valid_idx], [idx]))
+        kind = chosen.kind
+        if kind is ActionKind.SHIFT:
+            vec = ops.affine(p["proj_W"], c_vecs[state.buffer_pos], p["proj_b"])
+            stack = stack_push(ops, config, stack, vec)
+        elif kind is ActionKind.COMPLETE:
+            stack = stack_pop(stack)
+        elif kind is not ActionKind.OUT:
+            e0, e1 = stack[-1], stack[-2]
+            new_vec = compose(ops, e0.h, e1.h)
+            stack = stack[:-2]
+            if kind is ActionKind.LEFT_REDUCE:
+                stack = stack + (e1,)
+            elif kind is ActionKind.RIGHT_REDUCE:
+                stack = stack_push(ops, config, stack, e0.vec)
+            stack = stack_push(ops, config, stack, new_vec)
+        zero = ops.zeros(config.action_dim)
+        act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], ops.row(p["act_emb"], idx),
+                                     zero if act_h is None else act_h,
+                                     zero if act_c is None else act_c)
+        state = apply(state, chosen)
+    return ad.add_n(tape, losses), tape
+
+
+def test_sentence_loss_matches_the_per_token_path():
+    """Loss and every parameter gradient of the whole-sentence ops equal
+    today's per-token path to 1e-12 relative: random dimensions, windows
+    longer than some words, one-token sentences, attention on and off."""
+    rng = np.random.default_rng(25)
+    one_token = [Sentence(("a",), ()), Sentence(("fever",), (Mention("ADR", (Fragment(0, 1),)),))]
+    sentences = list(CORPUS)[:6] + one_token
+    for trial in range(12):
+        dims = {name: int(k) for name, k in zip(
+            ("word_dim", "char_dim", "char_filters", "hidden_dim", "stack_dim", "action_dim"),
+            rng.integers(1, 5, size=6))}
+        config = ScorerConfig(**dims, char_cnn_window=int(rng.choice([1, 3, 5])),
+                              attention=trial % 3 != 2, seed=trial)
+        vocab = Vocab.build(make_corpus(4, seed=trial))   # leaves some words unknown
+        vocab = Vocab(tuple(sorted(set(vocab.words) | {"a"})), vocab.chars,
+                      tuple(sorted(set(vocab.types) | {"ADR"})))
+        for s in sentences:
+            gold, _ = oracle(s)
+            new, ref = init_params(config, vocab), init_params(config, vocab)
+            loss, tape = sentence_loss(s, gold, new, vocab, config)
+            ad.backward(tape, loss)
+            ref_loss, ref_tape = _per_token_loss(s, gold, ref, vocab, config)
+            ad.backward(ref_tape, ref_loss)
+            _close(loss.data, ref_loss.data)
+            for name in new.names():
+                _close(ad.dense_grad(new.t[name]), ad.dense_grad(ref.t[name]))
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_gradient_matches_finite_differences_at_every_coordinate(attention):
+    """Central differences at every coordinate of every parameter, on a
+    tiny config and two sentences: a sampled check can miss one wrong
+    slice."""
+    from disconer.corpus import Corpus
+    config = ScorerConfig(word_dim=2, char_dim=2, char_filters=3, hidden_dim=2, stack_dim=3,
+                          action_dim=2, attention=attention)
+    sentences = [SEQ_EXAMPLE, Sentence(("a", "sore", "throat"),
+                                       (Mention("B", (Fragment(1, 3),)),))]
+    vocab = Vocab.build(Corpus(tuple(sentences)))
+    params = init_params(config, vocab)
+    golds = [oracle(s)[0] for s in sentences]
+    for s, gold in zip(sentences, golds):
+        loss, tape = sentence_loss(s, gold, params, vocab, config)
+        ad.backward(tape, loss)                     # gradients add over both
+    analytic = {name: ad.dense_grad(t).copy() for name, t in params.t.items()}
+    forward = ad.Forward(params.arrays())           # sees the nudges below
+
+    def total() -> float:
+        return sum(float(neural._rollout(forward, s, vocab, config, gold)[0])
+                   for s, gold in zip(sentences, golds))
+
+    eps, worst = 1e-4, 0.0     # a smaller step drowns gradients near 1e-4 in roundoff
+    for name, arr in params.arrays().items():
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            up = total()
+            arr[idx] = orig - eps
+            down = total()
+            arr[idx] = orig
+            fd, an = (up - down) / (2 * eps), analytic[name][idx]
+            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
+    assert worst < 1e-6, worst
