@@ -13,15 +13,16 @@ whole-sentence ops against.
 
 A parameter table read through row() or rows_lookup() (the word, char and
 action embeddings) gets a row-sparse gradient: .grad holds only the rows the
-tape read, shape (k, d), and .rows their sorted indices. The lookup closures
-queue their row gradients on the tape; backward() then adds the queue into
-k rows that start at +0.0 (or at the sums an earlier, unstepped tape left),
-in the order a dense += would, so a step on the k rows gives bitwise the
-result of a step on the whole table. A forward pass that is never
-differentiated records nothing. Every other gradient is dense, with .rows
-None. Outside the backward pass only dense_grad(), step() and clear_grad()
-read the layout. backward() drops each closure once it has run, which breaks
-the node <-> closure cycle, so a finished tape is freed by reference counting.
+tape read, shape (k, d), and .rows their sorted indices. Each lookup closure
+adds its row gradients into those rows itself: a row starts at +0.0 (or at
+the sum an earlier read or an earlier, unstepped tape left) and takes its
+terms in closure order, as a dense += would, so a step on the k rows gives
+bitwise the result of a step on the whole table. A forward pass that is
+never differentiated leaves .grad and .rows None. Every other gradient is
+dense, with .rows None. Outside the closures only dense_grad(), step() and
+clear_grad() read the layout. backward() drops each closure once it has run,
+which breaks the node <-> closure cycle, so a finished tape is freed by
+reference counting.
 
 The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _project, _stack_rows, _lstm_cell, _lstm_seq, _bilstm, _char_cnn,
@@ -58,12 +59,10 @@ class Tensor:
 
 
 class Tape:
-    __slots__ = ("nodes", "lookups")
+    __slots__ = ("nodes",)
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        # table -> (row indices, row gradients) queued by the lookup closures
-        self.lookups: dict[Tensor, tuple[list[int], list[np.ndarray]]] = {}
 
     def _node(self, data) -> Tensor:
         t = Tensor(data)
@@ -96,14 +95,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if t._backward is not None:
             t._backward()
             t._backward = None
-    for table, (indices, grads) in tape.lookups.items():
-        _add_rows(table, indices, np.vstack(grads))
-    tape.lookups.clear()
 
 
 def _add_rows(table: Tensor, indices: list[int], grads: np.ndarray) -> None:
     """Add grads[j] into row indices[j] of table's row-sparse gradient, in
-    order; rows from an earlier backward pass keep their sums."""
+    order; rows an earlier read or backward pass left keep their sums."""
     old_rows = table.rows if table.grad is not None else np.empty(0, dtype=np.intp)
     rows = np.array(sorted(set(indices).union(old_rows.tolist())), dtype=np.intp)
     grad = np.zeros((len(rows),) + table.data.shape[1:])
@@ -111,14 +107,6 @@ def _add_rows(table: Tensor, indices: list[int], grads: np.ndarray) -> None:
         grad[np.searchsorted(rows, old_rows)] = table.grad
     np.add.at(grad, np.searchsorted(rows, indices), grads)
     table.grad, table.rows = grad, rows
-
-
-def _queue_rows(lookups: dict, table: Tensor, indices, grad: np.ndarray) -> None:
-    queued = lookups.get(table)
-    if queued is None:
-        queued = lookups[table] = ([], [])
-    queued[0].extend(indices)
-    queued[1].append(grad)
 
 
 def dense_grad(t: Tensor) -> np.ndarray:
@@ -274,11 +262,10 @@ def rows_slice(tape: Tape, M: Tensor, start: int, stop: int) -> Tensor:
 def row(tape: Tape, table: Tensor, index: int) -> Tensor:
     """table.data[index]; table must be a parameter leaf (row-sparse grad)."""
     out = tape._node(table.data[index])
-    lookups = tape.lookups
 
     def back():
         if out.grad is not None:
-            _queue_rows(lookups, table, (index,), out.grad)
+            _add_rows(table, [index], out.grad[None])
 
     out._backward = back
     return out
@@ -300,11 +287,10 @@ def pick(tape: Tape, M: Tensor, index: int) -> Tensor:
 def rows_lookup(tape: Tape, table: Tensor, indices: list[int]) -> Tensor:
     """table.data[indices]; table must be a parameter leaf (row-sparse grad)."""
     out = tape._node(table.data[np.asarray(indices, dtype=np.intp)])
-    lookups = tape.lookups
 
     def back():
         if out.grad is not None:
-            _queue_rows(lookups, table, indices, out.grad)
+            _add_rows(table, indices, out.grad)
 
     out._backward = back
     return out

@@ -3,7 +3,9 @@
 Subcommands: stats, convert, train, predict, evaluate, oracle-check, trace.
 Configuration is one "key = value" per line with "#" comments; command-line
 flags override config values. All randomness flows from the single
-configured seed, so a repeated run produces byte-identical outputs.
+configured seed, so a repeated run produces byte-identical outputs. The
+model (neural, and with it autodiff) is imported only by the commands that
+load it: train, predict and convert --resample.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import corpus as corpus_mod
-from . import evaluation, neural, schemas, transitions
+from . import evaluation, schemas, transitions
 from .corpus import Corpus, CorpusError, ResampleMode
 
+if TYPE_CHECKING:
+    from . import neural
+
 CONFIG_PATH_KEYS = ("train_corpus", "dev_corpus", "checkpoint")
-SCORER_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(neural.ScorerConfig)}
 BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -28,6 +33,7 @@ BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
 def parse_config_file(path: str) -> dict[str, str]:
     """Read "key = value" lines; '#' starts a comment; unknown keys rejected."""
     values: dict[str, str] = {}
+    fields = scorer_fields()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -36,19 +42,26 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise CorpusError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in SCORER_FIELDS and key not in CONFIG_PATH_KEYS:
+            if key not in fields and key not in CONFIG_PATH_KEYS:
                 raise CorpusError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
+
+
+def scorer_fields() -> dict[str, type]:
+    """The config keys besides the paths: ScorerConfig's fields and types."""
+    from .neural import ScorerConfig
+    return {f.name: type(f.default) for f in dataclasses.fields(ScorerConfig)}
 
 
 def load_config(args) -> tuple[neural.ScorerConfig, dict[str, str]]:
     """The scorer config of `--config` and `--seed` (the flag wins), and the
     file's values. Each value is converted from text to its field's type;
     the ranges are ScorerConfig's to check."""
+    from .neural import ScorerConfig
     values = parse_config_file(args.config) if args.config else {}
     kwargs = {}
-    for name, kind in SCORER_FIELDS.items():
+    for name, kind in scorer_fields().items():
         if name not in values:
             continue
         raw = values[name]
@@ -59,7 +72,7 @@ def load_config(args) -> tuple[neural.ScorerConfig, dict[str, str]]:
             raise CorpusError(f"config key {name!r}: expected {expected}, got {raw!r}") from None
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    return neural.ScorerConfig(**kwargs), values
+    return ScorerConfig(**kwargs), values
 
 
 def read_corpus(path: str, fmt: str) -> Corpus:
@@ -167,6 +180,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import neural
     config, values = load_config(args)
     _log_config(config, values)
     train_path = args.train or values.get("train_corpus")
@@ -209,6 +223,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import neural
     params, config, vocab = neural.load_checkpoint(args.checkpoint)
     corpus = read_corpus(args.input, args.format)
     sentences = []

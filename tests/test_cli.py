@@ -21,13 +21,27 @@ from disconer.synth import make_corpus
 PACKAGE_ROOT = str(Path(disconer.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
+def run_python(*args, cwd=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "disconer.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd,
                           env=env)
+
+
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
+    return run_python("-m", "disconer.cli", *args, cwd=cwd, stdout=stdout)
+
+
+def test_importing_the_cli_loads_no_model():
+    """stats, convert (without --resample), oracle-check, trace and evaluate
+    never load a model, so importing the CLI imports neither neural nor
+    autodiff."""
+    proc = run_python("-c", "import sys, disconer.cli; print(sorted(m for m in sys.modules "
+                      "if m in ('disconer.neural', 'disconer.autodiff')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.fixture(scope="module")

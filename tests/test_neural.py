@@ -357,12 +357,17 @@ def _one_backward(s):
     return params, actions
 
 
+def _rows_read(s, actions):
+    """The rows of each lookup table that a teacher-forced sentence reads."""
+    return {"word_emb": [VOCAB.word_index(tok) for tok in s.tokens],
+            "char_emb": [c for tok in s.tokens for c in VOCAB.char_indices(tok)],
+            "act_emb": [VOCAB.actions.index(a) for a in actions]}
+
+
 def test_lookup_tables_get_one_gradient_row_per_row_read():
     s = next(s for s in CORPUS if s.mentions and len(set(s.tokens)) < len(s.tokens))
     params, actions = _one_backward(s)
-    read = {"word_emb": [VOCAB.word_index(tok) for tok in s.tokens],
-            "char_emb": [c for tok in s.tokens for c in VOCAB.char_indices(tok)],
-            "act_emb": [VOCAB.actions.index(a) for a in actions]}
+    read = _rows_read(s, actions)
     for name in LOOKUP_TABLES:
         t = params.t[name]
         assert t.rows.tolist() == sorted(set(read[name])), name
@@ -373,16 +378,47 @@ def test_lookup_tables_get_one_gradient_row_per_row_read():
             assert t.rows is None and t.grad.shape == t.data.shape, name
 
 
-def test_only_backward_queues_table_rows():
-    """A forward pass that is never differentiated (predict) records no
-    rows; backward adds its queue into the tables and empties it."""
+def test_only_backward_gives_tables_gradient_rows():
+    """A forward pass leaves the lookup tables without a gradient; backward
+    gives each table the rows the sentence read."""
     s = next(s for s in CORPUS if s.mentions)
     params = init_params(CONFIG, VOCAB)
-    loss, tape = sentence_loss(s, oracle(s)[0], params, VOCAB, CONFIG)
-    assert tape.lookups == {}
+    actions, _ = oracle(s)
+    loss, tape = sentence_loss(s, actions, params, VOCAB, CONFIG)
+    for name in LOOKUP_TABLES:
+        assert params.t[name].grad is None and params.t[name].rows is None, name
     ad.backward(tape, loss)
-    assert tape.lookups == {}
-    assert all(params.t[name].rows is not None for name in LOOKUP_TABLES)
+    for name, read in _rows_read(s, actions).items():
+        assert params.t[name].rows.tolist() == sorted(set(read)), name
+
+
+def test_a_table_read_twice_on_one_tape_sums_as_a_dense_gradient():
+    """One leaf table read by rows_lookup and then by row on one tape, with
+    repeated and overlapping indices: each row sums its terms from +0.0 in
+    closure (reverse-creation) order, bitwise as np.add.at on a dense zero
+    table, and a step on the rows is bitwise the dense step."""
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(6, 3))
+    params = ScorerParams({"emb": data})
+    table = params.t["emb"]
+    tape = ad.Tape()
+    looked = ad.rows_lookup(tape, table, [4, 1, 4, 1, 2])
+    one = ad.row(tape, table, 1)
+    # row 1 takes one term of 1.0 and two of +-1e16: summed in another order,
+    # its value differs ((1 + 1e16) - 1e16 is 0, (1e16 - 1e16) + 1 is 1)
+    looked.grad = rng.normal(size=(5, 3))
+    looked.grad[1], looked.grad[3] = 1e16, -1e16
+    one.grad = np.ones(3)
+    ad.backward(tape, ad.leaf(0.0))    # a loss off the tape: only the two closures run
+    dense = np.zeros_like(data)
+    np.add.at(dense, [1], one.grad[None])
+    np.add.at(dense, [4, 1, 4, 1, 2], looked.grad)
+    assert table.rows.tolist() == [1, 2, 4]
+    assert ad.dense_grad(table).tobytes() == dense.tobytes()
+    lr = 0.1
+    expected = (data - lr * dense).tobytes()
+    sgd_step(params, lr)
+    assert table.data.tobytes() == expected
 
 
 def test_sgd_step_matches_a_dense_step_bitwise():
@@ -647,12 +683,8 @@ def test_checkpoint_round_trip_on_random_configs(config, words, chars, types):
 def test_bench_tracer_hooks_resolve():
     """The benchmark's traced run wraps functions of the library by name; a
     renamed or deleted hook must fail here, not only in the benchmark."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
     original = neural.token_reps
-    tracer = tracer_mod.Tracer()
+    tracer = _load_tracer()
     try:
         tracer.install()
         tracer.active = True
