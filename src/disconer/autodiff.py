@@ -26,12 +26,15 @@ reference counting.
 
 The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _project, _stack_rows, _lstm_cell, _lstm_seq, _bilstm, _char_cnn,
-_attend, _score, _masked_nll). A tape op calls its
-kernel and adds the backward closure. A rollout calls its ops through an op
-set: Recorded records them on a tape, Forward runs the kernels alone, with
-no Tape, no Tensor and no closure. Recorded binds each op to its tape once,
-when the op set is built (functools.partial), so a call costs no extra
-Python frame.
+_attend, _attention, _score, _masked_nll; _lstm_seq_grads is the backward of
+_lstm_seq). A tape op computes its value through its kernel, defines back(g)
+for its output's gradient g and hands both to Tape.record, which appends the
+node and runs back only when that gradient exists. lstm_cell alone sets its
+closure itself, on c2: it has two outputs and runs when either has a
+gradient. A rollout calls its ops through an op set: Recorded records them
+on a tape, Forward runs the kernels alone, with no Tape, no Tensor and no
+closure. Recorded binds each op to its tape once, when the op set is built
+(functools.partial), so a call costs no extra Python frame.
 """
 
 from __future__ import annotations
@@ -64,10 +67,18 @@ class Tape:
     def __init__(self):
         self.nodes: list[Tensor] = []
 
-    def _node(self, data) -> Tensor:
-        t = Tensor(data)
-        self.nodes.append(t)
-        return t
+    def record(self, data, back=None) -> Tensor:
+        """Append a node holding `data`. With `back`, the node's backward
+        closure calls back(node.grad), and only when the node has a gradient:
+        a node no loss reaches passes nothing on."""
+        node = Tensor(data)
+        self.nodes.append(node)
+        if back is not None:
+            def run():
+                if node.grad is not None:
+                    back(node.grad)
+            node._backward = run
+        return node
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -140,16 +151,11 @@ def clear_grad(t: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def add_n(tape: Tape, terms: list[Tensor]) -> Tensor:
-    out = tape._node(sum(t.data for t in terms))
-
-    def back():
-        if out.grad is None:
-            return
+    def back(g):
         for t in terms:
-            _accum(t, out.grad)
+            _accum(t, g)
 
-    out._backward = back
-    return out
+    return tape.record(sum(t.data for t in terms), back)
 
 
 def _affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,35 +164,26 @@ def _affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def affine(tape: Tape, W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     """W @ x + b."""
-    out = tape._node(_affine(W.data, x.data, b.data))
+    def back(g):
+        _accum(W, np.outer(g, x.data))
+        _accum(x, W.data.T @ g)
+        _accum(b, g)
 
-    def back():
-        if out.grad is None:
-            return
-        _accum(W, np.outer(out.grad, x.data))
-        _accum(x, W.data.T @ out.grad)
-        _accum(b, out.grad)
-
-    out._backward = back
-    return out
+    return tape.record(_affine(W.data, x.data, b.data), back)
 
 
 def concat(tape: Tape, parts: list[Tensor]) -> Tensor:
     """Concatenation along the last axis: vectors end to end, or matrices
     with the same rows side by side."""
     sizes = [p.data.shape[-1] for p in parts]
-    out = tape._node(np.concatenate([p.data for p in parts], axis=-1))
 
-    def back():
-        if out.grad is None:
-            return
+    def back(g):
         off = 0
         for p, size in zip(parts, sizes):
-            _accum(p, out.grad[..., off:off + size])
+            _accum(p, g[..., off:off + size])
             off += size
 
-    out._backward = back
-    return out
+    return tape.record(np.concatenate([p.data for p in parts], axis=-1), back)
 
 
 def _project(X: np.ndarray, Ws: list[np.ndarray], b: np.ndarray | None):
@@ -199,24 +196,20 @@ def _project(X: np.ndarray, Ws: list[np.ndarray], b: np.ndarray | None):
 def project(tape: Tape, X: Tensor, Ws: list[Tensor], b: Tensor | None = None) -> Tensor:
     """Every row of X (n, in) through the weights Ws stacked by rows, in one
     product: (n, sum of their rows), plus b when given."""
-    out_data, W = _project(X.data, [w.data for w in Ws], None if b is None else b.data)
-    out = tape._node(out_data)
+    out, W = _project(X.data, [w.data for w in Ws], None if b is None else b.data)
 
-    def back():
-        if out.grad is None:
-            return
-        dW = out.grad.T @ X.data
+    def back(g):
+        dW = g.T @ X.data
         off = 0
         for w in Ws:
             k = w.data.shape[0]
             _accum(w, dW[off:off + k])
             off += k
-        _accum(X, out.grad @ W)
+        _accum(X, g @ W)
         if b is not None:
-            _accum(b, out.grad.sum(axis=0))
+            _accum(b, g.sum(axis=0))
 
-    out._backward = back
-    return out
+    return tape.record(out, back)
 
 
 # ---------------------------------------------------------------------------
@@ -229,71 +222,38 @@ def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
 
 def stack_rows(tape: Tape, parts: list[Tensor]) -> Tensor:
     """Rows on top of each other: a vector is one row, a matrix its rows."""
-    out = tape._node(_stack_rows([p.data for p in parts]))
-
-    def back():
-        if out.grad is None:
-            return
+    def back(g):
         off = 0
         for p in parts:
             if p.data.ndim == 1:
-                _accum(p, out.grad[off])
+                _accum(p, g[off])
                 off += 1
             else:
-                _accum(p, out.grad[off:off + p.data.shape[0]])
+                _accum(p, g[off:off + p.data.shape[0]])
                 off += p.data.shape[0]
 
-    out._backward = back
-    return out
+    return tape.record(_stack_rows([p.data for p in parts]), back)
 
 
 def rows_slice(tape: Tape, M: Tensor, start: int, stop: int) -> Tensor:
-    out = tape._node(M.data[start:stop])
-
-    def back():
-        if out.grad is None:
-            return
-        _accum_at(M, slice(start, stop), out.grad)
-
-    out._backward = back
-    return out
+    return tape.record(M.data[start:stop], lambda g: _accum_at(M, slice(start, stop), g))
 
 
 def row(tape: Tape, table: Tensor, index: int) -> Tensor:
     """table.data[index]; table must be a parameter leaf (row-sparse grad)."""
-    out = tape._node(table.data[index])
-
-    def back():
-        if out.grad is not None:
-            _add_rows(table, [index], out.grad[None])
-
-    out._backward = back
-    return out
+    return tape.record(table.data[index], lambda g: _add_rows(table, [index], g[None]))
 
 
 def pick(tape: Tape, M: Tensor, index: int) -> Tensor:
     """M.data[index] of an op's output, with a dense gradient (a parameter
     table is read through row or rows_lookup)."""
-    out = tape._node(M.data[index])
-
-    def back():
-        if out.grad is not None:
-            _accum_at(M, index, out.grad)
-
-    out._backward = back
-    return out
+    return tape.record(M.data[index], lambda g: _accum_at(M, index, g))
 
 
 def rows_lookup(tape: Tape, table: Tensor, indices: list[int]) -> Tensor:
     """table.data[indices]; table must be a parameter leaf (row-sparse grad)."""
-    out = tape._node(table.data[np.asarray(indices, dtype=np.intp)])
-
-    def back():
-        if out.grad is not None:
-            _add_rows(table, indices, out.grad)
-
-    out._backward = back
-    return out
+    return tape.record(table.data[np.asarray(indices, dtype=np.intp)],
+                       lambda g: _add_rows(table, indices, g))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +288,8 @@ def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
     H = c.data.shape[0]
     h2_data, c2_data, xh, sig, g, tc = _lstm_cell(W.data, b.data, x.data, h.data, c.data)
     i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
-    h2 = tape._node(h2_data)
-    c2 = tape._node(c2_data)
+    h2 = tape.record(h2_data)
+    c2 = tape.record(c2_data)
 
     def back():
         dh2 = h2.grad
@@ -357,6 +317,7 @@ def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
         _accum(h, dxh[x_dim:])
         _accum(c, dc_total * f)
 
+    # two outputs, so not record's guard: the step runs when h2 or c2 alone has a gradient
     c2._backward = back
     return h2, c2
 
@@ -449,18 +410,14 @@ def lstm_seq(tape: Tape, W: Tensor, b: Tensor, X: Tensor) -> Tensor:
     lstm_cell."""
     Ws, Xs = W.data[None], X.data[None]
     hs, cache = _lstm_seq(Ws, b.data[None], Xs)
-    out = tape._node(hs[0])
 
-    def back():
-        if out.grad is None:
-            return
-        dW, db, dX = _lstm_seq_grads(Ws, Xs, cache, out.grad[None])
+    def back(g):
+        dW, db, dX = _lstm_seq_grads(Ws, Xs, cache, g[None])
         _accum(W, dW[0])
         _accum(b, db[0])
         _accum(X, dX[0])
 
-    out._backward = back
-    return out
+    return tape.record(hs[0], back)
 
 
 def _bilstm(W_fw: np.ndarray, b_fw: np.ndarray, W_bw: np.ndarray, b_bw: np.ndarray,
@@ -476,14 +433,11 @@ def bilstm(tape: Tape, W_fw: Tensor, b_fw: Tensor, W_bw: Tensor, b_bw: Tensor,
            X: Tensor) -> Tensor:
     """A BiLSTM over the rows of X (n, in): (n, 2H), the two directions
     stepped in lockstep."""
-    out_data, W, Xs, cache = _bilstm(W_fw.data, b_fw.data, W_bw.data, b_bw.data, X.data)
-    out = tape._node(out_data)
+    out, W, Xs, cache = _bilstm(W_fw.data, b_fw.data, W_bw.data, b_bw.data, X.data)
 
-    def back():
-        if out.grad is None:
-            return
-        H = out.grad.shape[1] // 2
-        dH = np.stack([out.grad[:, :H], out.grad[::-1, H:]])
+    def back(g):
+        H = g.shape[1] // 2
+        dH = np.stack([g[:, :H], g[::-1, H:]])
         dW, db, dXs = _lstm_seq_grads(W, Xs, cache, dH)
         _accum(W_fw, dW[0])
         _accum(b_fw, db[0])
@@ -491,8 +445,7 @@ def bilstm(tape: Tape, W_fw: Tensor, b_fw: Tensor, W_bw: Tensor, b_bw: Tensor,
         _accum(b_bw, db[1])
         _accum(X, dXs[0] + dXs[1, ::-1])
 
-    out._backward = back
-    return out
+    return tape.record(out, back)
 
 
 def _char_cnn(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, lengths: list[int]):
@@ -533,17 +486,14 @@ def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor,
     filters: (n_filters, window * char_dim); emb: (sum(lengths), char_dim),
     the characters of each word in turn.
     """
-    out_data, windows, best, rows = _char_cnn(filters.data, bias.data, emb.data, lengths)
-    out = tape._node(out_data)
+    out, windows, best, rows = _char_cnn(filters.data, bias.data, emb.data, lengths)
 
-    def back():
-        if out.grad is None:
-            return
+    def back(g):
         n, n_pos, span = windows.shape
         n_filters = best.shape[1]
-        _accum(bias, out.grad.sum(axis=0))
+        _accum(bias, g.sum(axis=0))
         dresponses = np.zeros((n, n_pos, n_filters))
-        dresponses[np.arange(n)[:, None], best, np.arange(n_filters)] = out.grad
+        dresponses[np.arange(n)[:, None], best, np.arange(n_filters)] = g
         dresponses = dresponses.reshape(n * n_pos, n_filters)
         _accum(filters, dresponses.T @ windows.reshape(n * n_pos, span))
         window = span // emb.data.shape[1]
@@ -553,8 +503,7 @@ def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor,
             dpadded[:, j:j + n_pos] += dwindows[:, :, j]
         _accum(emb, dpadded[rows])
 
-    out._backward = back
-    return out
+    return tape.record(out, back)
 
 
 def _attend(query: np.ndarray, W: np.ndarray, B: np.ndarray):
@@ -573,22 +522,18 @@ def attend(tape: Tape, query: Tensor, W: Tensor, B: Tensor) -> Tensor:
     query: (S,), W: (S, R), B: (n, R) with n >= 1. Returns the weighted sum
     of buffer rows (R,).
     """
-    out_data, u, w = _attend(query.data, W.data, B.data)
-    out = tape._node(out_data)
+    out, u, w = _attend(query.data, W.data, B.data)
 
-    def back():
-        if out.grad is None:
-            return
-        dw = B.data @ out.grad           # (n,)
+    def back(g):
+        dw = B.data @ g                  # (n,)
         dscores = w * (dw - float(w @ dw))
         du = B.data.T @ dscores
         _accum(W, np.outer(query.data, du))
         _accum(query, W.data @ du)
-        dB = np.outer(dscores, u) + np.outer(w, out.grad)
+        dB = np.outer(dscores, u) + np.outer(w, g)
         _accum(B, dB)
 
-    out._backward = back
-    return out
+    return tape.record(out, back)
 
 
 def _attention(spans: np.ndarray, starts: list[int], keys: np.ndarray) -> np.ndarray:
@@ -652,19 +597,16 @@ def score(tape: Tape, spans: list[tuple[Tensor, Tensor, Tensor]], acts: Tensor,
     index: dict[Tensor, int] = {}
     slots = [index.setdefault(s, len(index)) for step in spans for s in step]
     span_data = np.array([[s.data for s in step] for step in spans])
-    out_data, features, w = _score(span_data, acts.data, starts,
-                                   None if reps is None else reps.data,
-                                   None if keys is None else keys.data, W.data, b.data)
-    out = tape._node(out_data)
+    out, features, w = _score(span_data, acts.data, starts,
+                              None if reps is None else reps.data,
+                              None if keys is None else keys.data, W.data, b.data)
 
-    def back():
-        if out.grad is None:
-            return
+    def back(g):
         T, _, S = span_data.shape
         A = acts.data.shape[1]
-        _accum(W, out.grad.T @ features)
-        _accum(b, out.grad.sum(axis=0))
-        dfeatures = out.grad @ W.data
+        _accum(W, g.T @ features)
+        _accum(b, g.sum(axis=0))
+        dfeatures = g @ W.data
         _accum(acts, dfeatures[:, -A:])
         dspans = dfeatures[:, :3 * S].reshape(T, 3, S)
         if w is not None:
@@ -681,11 +623,10 @@ def score(tape: Tape, spans: list[tuple[Tensor, Tensor, Tensor]], acts: Tensor,
             dspans = dspans + (dscores @ keys3).transpose(1, 0, 2)
         grads = np.zeros((len(index), S))
         np.add.at(grads, slots, dspans.reshape(3 * T, S))
-        for t, g in zip(index, grads):
-            _accum(t, g)
+        for span, dspan in zip(index, grads):
+            _accum(span, dspan)
 
-    out._backward = back
-    return out
+    return tape.record(out, back)
 
 
 def _masked_nll(logits: np.ndarray, valid_idx: list[list[int]], gold: list[int]):
@@ -708,17 +649,13 @@ def masked_nll(tape: Tape, logits: Tensor, valid_idx: list[list[int]], gold: lis
     column gold[t], which must be valid; invalid actions are masked out.
     logits: (T, n_actions)."""
     loss, probs = _masked_nll(logits.data, valid_idx, gold)
-    out = tape._node(loss)
 
-    def back():
-        if out.grad is None:
-            return
+    def back(g):
         d = probs.copy()
         d[np.arange(len(gold)), gold] -= 1.0
-        _accum(logits, float(out.grad) * d)
+        _accum(logits, float(g) * d)
 
-    out._backward = back
-    return out
+    return tape.record(loss, back)
 
 
 def masked_softmax(logits: np.ndarray, valid_idx: list[int]) -> np.ndarray:

@@ -31,8 +31,10 @@ BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read "key = value" lines; '#' starts a comment; unknown keys rejected."""
+    """Read "key = value" lines; '#' starts a comment; unknown and repeated
+    keys rejected."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     fields = scorer_fields()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -44,6 +46,10 @@ def parse_config_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields and key not in CONFIG_PATH_KEYS:
                 raise CorpusError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise CorpusError(f"{path}:{lineno}: duplicate config key {key!r} "
+                                  f"(first on line {first_line[key]})")
+            first_line[key] = lineno
             values[key] = value
     return values
 

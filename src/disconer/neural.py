@@ -410,7 +410,7 @@ def sentence_loss(sentence: Sentence, gold_actions: list[Action],
     """Sum of per-step NLL of gold actions under the valid-masked softmax."""
     tape = Tape()
     loss, _ = _rollout(ad.Recorded(tape, params.t), sentence, vocab, config, gold_actions)
-    return (loss if loss is not None else tape._node(np.asarray(0.0))), tape
+    return (loss if loss is not None else tape.record(np.asarray(0.0))), tape
 
 
 def predict(sentence: Sentence, params: ScorerParams, vocab: Vocab,

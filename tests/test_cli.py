@@ -144,6 +144,16 @@ def _one_error_line(out) -> str:
     return last
 
 
+def test_duplicate_config_key_is_one_error_line(workdir):
+    (workdir / "dup.cfg").write_text("epochs = 1\nepochs = 2\n")
+    out = run_cli("--config", "dup.cfg", "train", "--train", "dev.txt",
+                  "--checkpoint", "dup.bin", cwd=workdir)
+    assert out.stderr.strip().splitlines() == [
+        "error: dup.cfg:2: duplicate config key 'epochs' (first on line 1)"]
+    assert out.returncode == 1 and out.stdout == ""
+    assert not (workdir / "dup.bin").exists()
+
+
 FLAT = "muscle pain\n0,2 ADR\n"
 NESTED = "leg pain\n0,2 ADR|1,2 ADR\n"
 

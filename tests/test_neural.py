@@ -151,6 +151,71 @@ def test_masked_nll_gradient():
     assert np.all(logits.grad[0, [1, 3, 4]] == 0.0) and np.all(logits.grad[1, [0, 2, 4, 5]] == 0.0)
 
 
+def _tape_op_cases():
+    """Arguments of add_n and of each op of Recorded._OPS, with arrays where
+    the op takes Tensors."""
+    rng = np.random.default_rng(13)
+    H, D, n, T = 2, 3, 4, 2
+
+    def arrays(*shapes):
+        return [rng.normal(size=shape) for shape in shapes]
+
+    return {
+        "add_n": [arrays((D,), (D,))],
+        "affine": arrays((H, D), (D,), (H,)),
+        "lstm_cell": arrays((4 * H, D + H), (4 * H,), (D,), (H,), (H,)),
+        "lstm_seq": arrays((4 * H, D + H), (4 * H,), (n, D)),
+        "bilstm": arrays((4 * H, D + H), (4 * H,), (4 * H, D + H), (4 * H,), (n, D)),
+        "char_cnn": arrays((H, 3 * D), (H,), (8, D)) + [[2, 1, 3, 2]],
+        "attend": arrays((H,), (H, D), (n, D)),
+        "score": [[tuple(arrays((H,), (H,), (H,))) for _ in range(T)],
+                  *arrays((T, D)), [0, 2], *arrays((n, 2), (n, 3 * H), (4, 3 * H + 6 + D), (4,))],
+        "masked_nll": arrays((T, 6)) + [[[0, 2, 5]] * T, [2] * T],
+        "project": [*arrays((n, D)), arrays((H, D), (2, D)), *arrays((H + 2,))],
+        "rows_slice": arrays((n + 2, D)) + [1, n + 1],
+        "row": arrays((n, D)) + [n - 1],
+        "pick": arrays((n, D)) + [n - 1],
+        "rows_lookup": arrays((n, D)) + [[n - 1, 0, n - 1]],
+        "concat": [arrays((H,), (D,), (n,))],
+        "stack_rows": [arrays((D,), (n, D), (D,))],
+    }
+
+
+def _on_leaves(args, made):
+    """args with each array, also inside lists and tuples, made a new leaf
+    that is appended to `made`."""
+    if isinstance(args, np.ndarray):
+        made.append(ad.leaf(args))
+        return made[-1]
+    if isinstance(args, (list, tuple)) and any(isinstance(a, (np.ndarray, list, tuple))
+                                              for a in args):
+        return type(args)(_on_leaves(a, made) for a in args)
+    return args
+
+
+def test_a_tape_op_runs_its_backward_only_when_its_output_has_a_gradient():
+    """Run from a loss the op does not reach, backward gives none of the
+    op's inputs a gradient; with a gradient seeded on the output (on h2 or on
+    c2 alone for lstm_cell) every input gets one. Either way backward drops
+    every closure."""
+    cases = _tape_op_cases()
+    assert set(cases) == set(ad.Recorded._OPS) | {"add_n"}
+    for name, args in cases.items():
+        for seeded in ([], [0], [1]) if name == "lstm_cell" else ([], [0]):
+            inputs = []
+            tape = ad.Tape()
+            outs = getattr(ad, name)(tape, *_on_leaves(args, inputs))
+            outs = outs if isinstance(outs, tuple) else (outs,)
+            for k in seeded:
+                outs[k].grad = np.ones_like(outs[k].data)
+            ad.backward(tape, tape.record(np.asarray(0.0)))
+            assert all(t._backward is None for t in tape.nodes), name
+            if seeded:
+                assert all(t.grad is not None for t in inputs), (name, seeded)
+            else:
+                assert all(t.grad is None and t.rows is None for t in inputs), name
+
+
 # ---------------------------------------------------------------------------
 # Scorer components
 # ---------------------------------------------------------------------------
@@ -248,6 +313,21 @@ def test_sentence_loss_positive_and_finite():
     assert float(loss.data) > 0.0
     ad.backward(tape, loss)
     assert any(t.grad is not None and np.abs(t.grad).sum() > 0 for t in params.t.values())
+
+
+def test_the_empty_sentence_has_a_zero_loss_and_moves_no_parameter():
+    s = Sentence((), ())
+    params = init_params(CONFIG, VOCAB)
+    actions, _ = oracle(s)
+    loss, tape = sentence_loss(s, actions, params, VOCAB, CONFIG)
+    assert float(loss.data) == 0.0
+    assert len(tape.nodes) == 1 and tape.nodes[0] is loss
+    before = {name: t.data.tobytes() for name, t in params.t.items()}
+    neural.backward(tape, loss)
+    assert all(t.grad is None and t.rows is None for t in params.t.values())
+    sgd_step(params, 0.1)
+    assert {name: t.data.tobytes() for name, t in params.t.items()} == before
+    assert predict(s, params, VOCAB, CONFIG) == frozenset()
 
 
 def test_sentence_loss_rejects_an_invalid_gold_action():
