@@ -20,20 +20,23 @@ terms in closure order, as a dense += would, so a step on the k rows gives
 bitwise the result of a step on the whole table. A forward pass that is
 never differentiated leaves .grad and .rows None. Every other gradient is
 dense, with .rows None. Outside the closures only dense_grad(), step() and
-clear_grad() read the layout. backward() drops each closure once it has run,
-which breaks the node <-> closure cycle, so a finished tape is freed by
-reference counting.
+clear_grad() read the layout.
 
 The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _project, _stack_rows, _lstm_cell, _lstm_seq, _bilstm, _char_cnn,
 _attend, _attention, _score, _masked_nll; _lstm_seq_grads is the backward of
 _lstm_seq). A tape op computes its value through its kernel, defines back(g)
-for its output's gradient g and hands both to Tape.record, which appends the
-node and runs back only when that gradient exists. lstm_cell alone sets its
-closure itself, on c2: it has two outputs and runs when either has a
-gradient. A rollout calls its ops through an op set: Recorded records them
-on a tape, Forward runs the kernels alone, with no Tape, no Tensor and no
-closure. Recorded binds each op to its tape once, when the op set is built
+for its output's gradient g and hands both to Tape.record, which attaches
+back to the new node. backward() alone decides that a closure runs: it drops
+each one and calls it once, with its node's gradient, only when that
+gradient exists. So a node no loss reaches passes nothing on, and a finished
+tape is freed by reference counting. lstm_cell is two such nodes, c2 then
+h2, and h2's closure adds into c2's gradient. The LSTM kernels own the zero
+state: _lstm_cell takes h = c = None for it, and _lstm_seq starts from it.
+
+A rollout calls its ops through an op set: Recorded records them on a tape,
+Forward runs the kernels alone, with no Tape, no Tensor and no closure.
+Recorded binds each op to its tape once, when the op set is built
 (functools.partial), so a call costs no extra Python frame.
 """
 
@@ -68,16 +71,11 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def record(self, data, back=None) -> Tensor:
-        """Append a node holding `data`. With `back`, the node's backward
-        closure calls back(node.grad), and only when the node has a gradient:
-        a node no loss reaches passes nothing on."""
+        """Append a node holding `data`, with `back(g)` as its backward
+        closure for its gradient g; `backward` decides whether it runs."""
         node = Tensor(data)
+        node._backward = back
         self.nodes.append(node)
-        if back is not None:
-            def run():
-                if node.grad is not None:
-                    back(node.grad)
-            node._backward = run
         return node
 
 
@@ -100,12 +98,13 @@ def leaf(data) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Seed the loss gradient and visit nodes in reverse topological order."""
+    """Seed the loss gradient and visit nodes in reverse topological order,
+    dropping each closure and calling it only when its node has a gradient."""
     loss.grad = np.ones_like(loss.data)
     for t in reversed(tape.nodes):
-        if t._backward is not None:
-            t._backward()
-            t._backward = None
+        back, t._backward = t._backward, None
+        if back is not None and t.grad is not None:
+            back(t.grad)
 
 
 def _add_rows(table: Tensor, indices: list[int], grads: np.ndarray) -> None:
@@ -264,14 +263,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _lstm_cell(W: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray,
-               c: np.ndarray):
-    """One LSTM step: (h2, c2) and the activations the backward pass reads.
+def _lstm_cell(W: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray | None,
+               c: np.ndarray | None):
+    """One LSTM step from the state (h, c), h = c = None for the zero state:
+    (h2, c2) and the activations the backward pass reads.
 
     One sigmoid covers the i, f and o gates; elementwise, it is bitwise the
     three separate calls.
     """
-    H = c.shape[0]
+    H = b.shape[0] // 4
+    if h is None:
+        h = c = np.zeros(H)
     xh = np.concatenate([x, h])
     gates = W @ xh + b
     sig = _sigmoid(gates[:3 * H])
@@ -279,47 +281,49 @@ def _lstm_cell(W: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray,
     g = np.tanh(gates[3 * H:])
     c2 = f * c + i * g
     tc = np.tanh(c2)
-    return tc * o, c2, xh, sig, g, tc
+    return tc * o, c2, (c, xh, sig, g, tc)
 
 
 def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
-              h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; W has shape (4H, x_dim + H), gate order i,f,o,g."""
-    H = c.data.shape[0]
-    h2_data, c2_data, xh, sig, g, tc = _lstm_cell(W.data, b.data, x.data, h.data, c.data)
-    i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
-    h2 = tape.record(h2_data)
-    c2 = tape.record(c2_data)
+              h: Tensor | None, c: Tensor | None) -> tuple[Tensor, Tensor]:
+    """One LSTM step from the state (h, c), or from the zero state when
+    h = c = None; W has shape (4H, x_dim + H), gate order i,f,o,g.
 
-    def back():
-        dh2 = h2.grad
-        dc2 = c2.grad
-        if dh2 is None and dc2 is None:
-            return
-        dc_total = np.zeros(H) if dc2 is None else dc2.copy()
+    Two nodes: c2 with the gates' backward, then h2 = o * tanh(c2), whose
+    closure runs first and adds its part into c2's gradient, so the gates'
+    step runs when either output has a gradient.
+    """
+    h2_data, c2_data, (c_prev, xh, sig, g, tc) = _lstm_cell(
+        W.data, b.data, x.data, None if h is None else h.data, None if c is None else c.data)
+    H = tc.shape[0]
+    i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
+    do = 0.0                                               # the o gate's, from h2
+
+    def back_c(dc):
         dgates = np.empty(4 * H)
-        if dh2 is not None:
-            dgates[2 * H:3 * H] = dh2 * tc                 # do
-            dc_total += dh2 * o * (1.0 - tc * tc)
-        else:
-            dgates[2 * H:3 * H] = 0.0
-        dgates[:H] = dc_total * g                          # di
-        dgates[H:2 * H] = dc_total * c.data                # df
+        dgates[:H] = dc * g                                # di
+        dgates[H:2 * H] = dc * c_prev                      # df
+        dgates[2 * H:3 * H] = do
         # d * s * (1 - s) for the three sigmoid gates, g through tanh
         dgates[:3 * H] *= sig
         dgates[:3 * H] *= 1.0 - sig
-        dgates[3 * H:] = dc_total * i * (1.0 - g * g)
+        dgates[3 * H:] = dc * i * (1.0 - g * g)
         _accum(W, np.outer(dgates, xh))
         _accum(b, dgates)
         dxh = W.data.T @ dgates
         x_dim = x.data.shape[0]
         _accum(x, dxh[:x_dim])
-        _accum(h, dxh[x_dim:])
-        _accum(c, dc_total * f)
+        if h is not None:
+            _accum(h, dxh[x_dim:])
+            _accum(c, dc * f)
 
-    # two outputs, so not record's guard: the step runs when h2 or c2 alone has a gradient
-    c2._backward = back
-    return h2, c2
+    def back_h(dh):
+        nonlocal do
+        do = dh * tc
+        _accum(c2, dh * o * (1.0 - tc * tc))
+
+    c2 = tape.record(c2_data, back_c)
+    return tape.record(h2_data, back_h), c2
 
 
 def _lstm_seq(W: np.ndarray, b: np.ndarray, X: np.ndarray):
@@ -687,10 +691,6 @@ class Recorded:
         for name in self._OPS:
             setattr(self, name, functools.partial(globals()[name], tape))
 
-    @staticmethod
-    def zeros(n: int) -> Tensor:
-        return leaf(np.zeros(n))
-
 
 class Forward:
     """The same ops on plain float64 arrays, for a rollout that nothing
@@ -702,7 +702,6 @@ class Forward:
     def __init__(self, p: dict[str, np.ndarray]):
         self.p = p
 
-    zeros = staticmethod(np.zeros)
     concat = staticmethod(lambda parts: np.concatenate(parts, axis=-1))
     stack_rows = staticmethod(_stack_rows)
     affine = staticmethod(_affine)

@@ -111,11 +111,10 @@ def write_corpus(corpus: Corpus, path: str, fmt: str) -> None:
         fh.write(out)
 
 
-def _log_config(config: neural.ScorerConfig, values: dict[str, str]) -> None:
-    resolved = dict(sorted(dataclasses.asdict(config).items()))
-    for key in CONFIG_PATH_KEYS:
-        if key in values:
-            resolved[key] = values[key]
+def _log_config(config: neural.ScorerConfig, paths: dict[str, str | None]) -> None:
+    """One `config:` line: the scorer config and the paths the run uses."""
+    resolved = {**dataclasses.asdict(config),
+                **{key: path for key, path in paths.items() if path}}
     print("config: " + json.dumps(resolved, sort_keys=True))
 
 
@@ -188,15 +187,16 @@ def cmd_trace(args) -> int:
 def cmd_train(args) -> int:
     from . import neural
     config, values = load_config(args)
-    _log_config(config, values)
-    train_path = args.train or values.get("train_corpus")
+    # each path from its flag, else from the config file
+    paths = {key: flag or values.get(key) for key, flag in (
+        ("train_corpus", args.train), ("dev_corpus", args.dev), ("checkpoint", args.checkpoint))}
+    train_path, dev_path, ckpt_path = (paths[key] for key in CONFIG_PATH_KEYS)
     if not train_path:
         raise CorpusError("train corpus required (flag --train or config train_corpus)")
-    ckpt_path = args.checkpoint or values.get("checkpoint")
     if not ckpt_path:
         raise CorpusError("checkpoint path required (flag --checkpoint or config checkpoint)")
+    _log_config(config, paths)
     train = read_corpus(train_path, args.format)
-    dev_path = args.dev or values.get("dev_corpus")
     dev = read_corpus(dev_path, args.format) if dev_path else None
 
     vocab = neural.Vocab.build(train)

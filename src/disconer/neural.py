@@ -249,14 +249,10 @@ class StackEntry:
     c: Tensor | np.ndarray
 
 
-def stack_push(ops: Ops, config: ScorerConfig, stack: tuple[StackEntry, ...],
-               vec) -> tuple[StackEntry, ...]:
-    """Advance the Stack-LSTM one step; the previous state is kept intact."""
-    if stack:
-        h_prev, c_prev = stack[-1].h, stack[-1].c
-    else:
-        zero = ops.zeros(config.stack_dim)
-        h_prev, c_prev = zero, zero
+def stack_push(ops: Ops, stack: tuple[StackEntry, ...], vec) -> tuple[StackEntry, ...]:
+    """Advance the Stack-LSTM one step; the previous state is kept intact.
+    An empty stack pushes from the zero state (h = c = None to lstm_cell)."""
+    h_prev, c_prev = (stack[-1].h, stack[-1].c) if stack else (None, None)
     h, c = ops.lstm_cell(ops.p["stack_W"], ops.p["stack_b"], vec, h_prev, c_prev)
     return stack + (StackEntry(vec, h, c),)
 
@@ -291,7 +287,8 @@ def attend(ops: Ops, spans: list, history, starts: list[int], reps, keys):
 
 @dataclass
 class _NeuralState:
-    """Neural companion of a symbolic ParserState rollout."""
+    """Neural companion of a symbolic ParserState rollout; act_h and act_c
+    are None, the action LSTM's zero state, before the first action."""
     stack: tuple[StackEntry, ...] = ()
     act_h: Tensor | np.ndarray | None = None
     act_c: Tensor | np.ndarray | None = None
@@ -317,9 +314,8 @@ def action_history(ops: Ops, taken: list[int]):
     return ops.stack_rows([p["a_empty"], ops.lstm_seq(p["act_W"], p["act_b"], emb)])
 
 
-def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
-                    action: Action, buffer_pos: int, proj,
-                    action_idx: int | None = None) -> _NeuralState:
+def _advance_neural(ops: Ops, neural: _NeuralState, action: Action, buffer_pos: int,
+                    proj, action_idx: int | None = None) -> _NeuralState:
     """Mirror one symbolic action on the neural stack, and on the action
     history when action_idx is given (greedy); teacher forcing runs the
     history after the loop, in `action_history`."""
@@ -327,7 +323,7 @@ def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
     stack = neural.stack
     kind = action.kind
     if kind is ActionKind.SHIFT:
-        stack = stack_push(ops, config, stack, ops.pick(proj, buffer_pos))
+        stack = stack_push(ops, stack, ops.pick(proj, buffer_pos))
     elif kind is ActionKind.OUT:
         pass
     elif kind is ActionKind.COMPLETE:
@@ -339,18 +335,13 @@ def _advance_neural(ops: Ops, config: ScorerConfig, neural: _NeuralState,
         if kind is ActionKind.LEFT_REDUCE:
             stack = stack + (e1,)
         elif kind is ActionKind.RIGHT_REDUCE:
-            stack = stack_push(ops, config, stack, e0.vec)
-        stack = stack_push(ops, config, stack, new_vec)
+            stack = stack_push(ops, stack, e0.vec)
+        stack = stack_push(ops, stack, new_vec)
 
     if action_idx is None:
         return _NeuralState(stack)
-    if neural.act_h is None:
-        zero = ops.zeros(config.action_dim)
-        h_prev, c_prev = zero, zero
-    else:
-        h_prev, c_prev = neural.act_h, neural.act_c
     emb = ops.row(p["act_emb"], action_idx)
-    act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], emb, h_prev, c_prev)
+    act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], emb, neural.act_h, neural.act_c)
     return _NeuralState(stack, act_h, act_c)
 
 
@@ -392,7 +383,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
             logits = attend(ops, [spans], ops.stack_rows([act]), [state.buffer_pos], reps, keys)
             chosen = actions[valid_idx[int(np.argmax(logits[0, valid_idx]))]]
         taken.append(action_idx[chosen])
-        neural = _advance_neural(ops, config, neural, chosen, state.buffer_pos, proj,
+        neural = _advance_neural(ops, neural, chosen, state.buffer_pos, proj,
                                  None if teacher else taken[-1])
         state = apply_action(state, chosen)
     if not teacher:

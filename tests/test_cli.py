@@ -314,6 +314,26 @@ def test_config_seed_kept_without_seed_flag(workdir):
     assert _config_line(out.stdout)["seed"] == 3
 
 
+def test_train_refuses_a_missing_path_before_it_prints(workdir):
+    (workdir / "nopath.cfg").write_text("epochs = 1\ncheckpoint =\n")
+    for flags in (["--train", "dev.txt"], ["--checkpoint", "nopath.bin"]):
+        out = run_cli("--config", "nopath.cfg", "train", *flags, cwd=workdir)
+        assert "required" in _one_error_line(out)
+        assert out.stdout == ""
+
+
+def test_config_line_names_the_paths_the_run_uses(workdir):
+    (workdir / "paths.cfg").write_text(
+        "epochs = 1\ntrain_corpus = dev.txt\ncheckpoint = from_file.bin\n")
+    out = run_cli("--config", "paths.cfg", "train", "--checkpoint", "from_flag.bin",
+                  cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    line = _config_line(out.stdout)
+    assert line["checkpoint"] == "from_flag.bin" and line["train_corpus"] == "dev.txt"
+    assert "dev_corpus" not in line
+    assert (workdir / "from_flag.bin").exists() and not (workdir / "from_file.bin").exists()
+
+
 def test_format_tags_refused(workdir):
     out = run_cli("--format", "tags", "stats", "train.txt", cwd=workdir)
     assert out.returncode == 2

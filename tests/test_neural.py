@@ -84,7 +84,7 @@ def test_char_cnn_gradients():
     tape = ad.Tape()
     out = ad.char_cnn(tape, filters, bias, emb, lengths)
     out.grad = v
-    out._backward()
+    out._backward(v)
     for t in (filters, bias, emb):
         assert np.allclose(t.grad, _num_grad(forward, t.data), atol=1e-6)
 
@@ -216,6 +216,61 @@ def test_a_tape_op_runs_its_backward_only_when_its_output_has_a_gradient():
                 assert all(t.grad is None and t.rows is None for t in inputs), name
 
 
+def test_backward_calls_a_closure_once_and_only_with_a_gradient():
+    calls = []
+    tape = ad.Tape()
+    idle = tape.record(np.ones(2), lambda g: calls.append(("idle", g)))
+    fed = tape.record(np.ones(2), lambda g: calls.append(("fed", g)))
+    fed.grad = np.full(2, 3.0)
+    ad.backward(tape, tape.record(np.asarray(0.0)))
+    assert [name for name, _ in calls] == ["fed"] and calls[0][1] is fed.grad
+    assert idle._backward is None and fed._backward is None
+
+
+def test_lstm_cell_h2_alone_feeds_c2_and_runs_the_gates_once():
+    """With a gradient on h2 only, c2 receives exactly dh2 * o *
+    (1 - tanh(c2)^2), and c2's gate closure runs once, with it."""
+    rng = np.random.default_rng(30)
+    H, D = 3, 4
+    W, b, x, h, c = (ad.leaf(rng.normal(size=s))
+                     for s in ((4 * H, D + H), (4 * H,), (D,), (H,), (H,)))
+    tape = ad.Tape()
+    h2, c2 = ad.lstm_cell(tape, W, b, x, h, c)
+    calls = []
+    gates_back = c2._backward
+    c2._backward = lambda g: (calls.append(g.copy()), gates_back(g))
+    dh2 = rng.normal(size=H)
+    h2.grad = dh2.copy()
+    ad.backward(tape, tape.record(np.asarray(0.0)))
+    o = 1.0 / (1.0 + np.exp(-(W.data @ np.concatenate([x.data, h.data]) + b.data)[2 * H:3 * H]))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], dh2 * o * (1 - np.tanh(c2.data) ** 2))
+    assert all(t.grad is not None for t in (W, b, x, h, c))
+
+
+def test_lstm_cell_zero_state_is_none():
+    """h = c = None is the zero state: h2, c2 and the gradients of W, b and
+    x are bitwise those of the step from zero leaves, with the gradient on
+    h2, on c2 or on both; Forward gives the same bytes."""
+    rng = np.random.default_rng(31)
+    H, D = 3, 4
+    arrays = [rng.normal(size=s) for s in ((4 * H, D + H), (4 * H,), (D,))]
+    dh2, dc2 = rng.normal(size=H), rng.normal(size=H)
+    forward = ad.Forward({}).lstm_cell(*arrays, None, None)
+    for seeds in ((dh2, None), (None, dc2), (dh2, dc2)):
+        got = []
+        for state in ((None, None), (ad.leaf(np.zeros(H)), ad.leaf(np.zeros(H)))):
+            leaves = [ad.leaf(a) for a in arrays]
+            tape = ad.Tape()
+            outs = ad.lstm_cell(tape, *leaves, *state)
+            for out, g in zip(outs, seeds):
+                out.grad = None if g is None else g.copy()
+            ad.backward(tape, tape.record(np.asarray(0.0)))
+            got.append([t.data.tobytes() for t in outs] + [t.grad.tobytes() for t in leaves])
+        assert got[0] == got[1]
+        assert [a.tobytes() for a in forward] == got[0][:2]
+
+
 # ---------------------------------------------------------------------------
 # Scorer components
 # ---------------------------------------------------------------------------
@@ -288,9 +343,9 @@ def test_stack_push_pop_exact_restore():
     v1 = ad.leaf(np.ones(CONFIG.stack_dim))
     v2 = ad.leaf(np.full(CONFIG.stack_dim, 0.5))
     ops = ad.Recorded(tape, params.t)
-    stack = stack_push(ops, CONFIG, (), v1)
+    stack = stack_push(ops, (), v1)
     before = stack[-1]
-    stack2 = stack_push(ops, CONFIG, stack, v2)
+    stack2 = stack_push(ops, stack, v2)
     restored = stack_pop(stack2)
     assert restored[-1] is before  # bitwise: the same entry object
     with pytest.raises(ValueError):
@@ -1030,7 +1085,9 @@ def test_lstm_cell_matches_the_unfused_reference_bitwise():
         tape = ad.Tape()
         h2, c2 = ad.lstm_cell(tape, *leaves)
         h2.grad, c2.grad = dh2, dc2
-        c2._backward()
+        for t in (h2, c2):
+            if t.grad is not None:
+                t._backward(t.grad)
         assert h2.data.tobytes() == h_ref.tobytes() and c2.data.tobytes() == c_ref.tobytes()
         for leaf, want in zip(leaves, grads_ref):
             assert leaf.grad.tobytes() == want.tobytes()
@@ -1052,8 +1109,8 @@ def _backprop(tape, out, dout):
     """Replay the tape from `out` with the gradient `dout`."""
     out.grad = dout
     for t in reversed(tape.nodes):
-        if t._backward is not None:
-            t._backward()
+        if t._backward is not None and t.grad is not None:
+            t._backward(t.grad)
 
 
 def _word_char_cnn_reference(filters, bias, emb, dout):
@@ -1248,7 +1305,8 @@ def _per_token_loss(sentence, gold_actions, params, vocab, config):
         valid_idx = sorted(vocab.action_index[a] for a in valid_actions(state, n, vocab.types))
         spans = [stack[-1 - i].h if len(stack) > i else p["s_empty"] for i in range(3)]
         attended = [ops.attend(s, p[f"attn_W{i}"], ops.rows_slice(C, state.buffer_pos, n))
-                    if config.attention and state.buffer_pos < n else ops.zeros(config.rep_dim)
+                    if config.attention and state.buffer_pos < n
+                    else ad.leaf(np.zeros(config.rep_dim))
                     for i, s in enumerate(spans)]
         act = act_h if act_h is not None else p["a_empty"]
         logits = ops.affine(p["out_W"], ops.concat(spans + attended + [act]), p["out_b"])
@@ -1258,7 +1316,7 @@ def _per_token_loss(sentence, gold_actions, params, vocab, config):
         kind = chosen.kind
         if kind is ActionKind.SHIFT:
             vec = ops.affine(p["proj_W"], c_vecs[state.buffer_pos], p["proj_b"])
-            stack = stack_push(ops, config, stack, vec)
+            stack = stack_push(ops, stack, vec)
         elif kind is ActionKind.COMPLETE:
             stack = stack_pop(stack)
         elif kind is not ActionKind.OUT:
@@ -1268,12 +1326,10 @@ def _per_token_loss(sentence, gold_actions, params, vocab, config):
             if kind is ActionKind.LEFT_REDUCE:
                 stack = stack + (e1,)
             elif kind is ActionKind.RIGHT_REDUCE:
-                stack = stack_push(ops, config, stack, e0.vec)
-            stack = stack_push(ops, config, stack, new_vec)
-        zero = ops.zeros(config.action_dim)
+                stack = stack_push(ops, stack, e0.vec)
+            stack = stack_push(ops, stack, new_vec)
         act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], ops.row(p["act_emb"], idx),
-                                     zero if act_h is None else act_h,
-                                     zero if act_c is None else act_c)
+                                     act_h, act_c)
         state = apply(state, chosen)
     return ad.add_n(tape, losses), tape
 
