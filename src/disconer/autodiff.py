@@ -25,14 +25,17 @@ clear_grad() read the layout.
 The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _project, _stack_rows, _lstm_cell, _lstm_seq, _bilstm, _char_cnn,
 _attend, _attention, _score, _masked_nll; _lstm_seq_grads is the backward of
-_lstm_seq). A tape op computes its value through its kernel, defines back(g)
-for its output's gradient g and hands both to Tape.record, which attaches
-back to the new node. backward() alone decides that a closure runs: it drops
-each one and calls it once, with its node's gradient, only when that
-gradient exists. So a node no loss reaches passes nothing on, and a finished
-tape is freed by reference counting. lstm_cell is two such nodes, c2 then
-h2, and h2's closure adds into c2's gradient. The LSTM kernels own the zero
-state: _lstm_cell takes h = c = None for it, and _lstm_seq starts from it.
+_lstm_seq). _affine and _lstm_cell also take a matrix of rows, and
+_attend_rows attends for rows of different sentences; each row is bitwise
+the one-row call, which lockstep prediction relies on. A tape op computes
+its value through its kernel, defines back(g) for its output's gradient g
+and hands both to Tape.record, which attaches back to the new node.
+backward() alone decides that a closure runs: it drops each one and calls
+it once, with its node's gradient, only when that gradient exists. So a
+node no loss reaches passes nothing on, and a finished tape is freed by
+reference counting. lstm_cell is two such nodes, c2 then h2, and h2's
+closure adds into c2's gradient. The LSTM kernels own the zero state:
+_lstm_cell takes h = c = None for it, and _lstm_seq starts from it.
 
 A rollout calls its ops through an op set: Recorded records them on a tape,
 Forward runs the kernels alone, with no Tape, no Tensor and no closure.
@@ -157,8 +160,17 @@ def add_n(tape: Tape, terms: list[Tensor]) -> Tensor:
     return tape.record(sum(t.data for t in terms), back)
 
 
+def _matvec(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """W @ x of a vector x, or of each row of a matrix x as a stack of that
+    product, x[:, None, :] @ W.T, which numpy runs as one BLAS call per row:
+    every row is bitwise the lone W @ x. One (k, F) @ W.T product is not,
+    because a GEMM groups its sums differently."""
+    return W @ x if x.ndim == 1 else (x[:, None, :] @ W.T)[:, 0]
+
+
 def _affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return W @ x + b
+    """W @ x + b, of a vector or of each row of a matrix (`_matvec`)."""
+    return _matvec(W, x) + b
 
 
 def affine(tape: Tape, W: Tensor, x: Tensor, b: Tensor) -> Tensor:
@@ -266,19 +278,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _lstm_cell(W: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray | None,
                c: np.ndarray | None):
     """One LSTM step from the state (h, c), h = c = None for the zero state:
-    (h2, c2) and the activations the backward pass reads.
+    (h2, c2) and the activations the backward pass reads. x, h and c may
+    also be matrices, one step per row; each row is bitwise its lone step
+    (`_matvec`).
 
     One sigmoid covers the i, f and o gates; elementwise, it is bitwise the
     three separate calls.
     """
     H = b.shape[0] // 4
     if h is None:
-        h = c = np.zeros(H)
-    xh = np.concatenate([x, h])
-    gates = W @ xh + b
-    sig = _sigmoid(gates[:3 * H])
-    i, f, o = sig[:H], sig[H:2 * H], sig[2 * H:]
-    g = np.tanh(gates[3 * H:])
+        h = c = np.zeros(x.shape[:-1] + (H,))
+    xh = np.concatenate([x, h], axis=-1)
+    gates = _matvec(W, xh) + b
+    sig = _sigmoid(gates[..., :3 * H])
+    i, f, o = sig[..., :H], sig[..., H:2 * H], sig[..., 2 * H:]
+    g = np.tanh(gates[..., 3 * H:])
     c2 = f * c + i * g
     tc = np.tanh(c2)
     return tc * o, c2, (c, xh, sig, g, tc)
@@ -584,6 +598,23 @@ def _score(spans: np.ndarray, acts: np.ndarray, starts: list[int],
         attended = (w.reshape(3 * T, -1) @ reps[lo:]).reshape(3, T, -1).transpose(1, 0, 2)
     features = np.concatenate([spans.reshape(T, -1), attended.reshape(T, -1), acts], axis=1)
     return features @ W.T + b, features, w
+
+
+def _attend_rows(spans: np.ndarray, keys: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The attended vectors (g, 3, R) of g parser states of different
+    sentences whose buffers hold the same number m of rows: spans (g, 3, S),
+    and each state's buffer rows of keys (g, m, 3S) and of reps (g, m, R).
+
+    Row r is bitwise what `_score` attends for that state alone: the
+    products are stacks of the lone products (`_matvec`), and each softmax
+    sums exactly m terms, as a padded row would not.
+    """
+    g, m, _ = keys.shape
+    S = spans.shape[2]
+    scores = spans[:, :, None, :] @ keys.reshape(g, m, 3, S).transpose(0, 2, 3, 1)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=3, keepdims=True))
+    w = e / np.add.reduce(e, axis=3, keepdims=True)
+    return w.reshape(g, 3, m) @ reps
 
 
 def score(tape: Tape, spans: list[tuple[Tensor, Tensor, Tensor]], acts: Tensor,

@@ -201,12 +201,12 @@ def cmd_train(args) -> int:
 
     vocab = neural.Vocab.build(train)
     best = {"f1": -1.0, "epoch": -1, "params": None}
+    gold = None if dev is None else [frozenset(s.mentions) for s in dev]
 
     def epoch_hook(epoch: int, params: neural.ScorerParams, stats: dict) -> None:
         record = {"epoch": epoch, **stats}
         if dev is not None:
-            gold = [frozenset(s.mentions) for s in dev]
-            pred = [neural.predict(s, params, vocab, config) for s in dev]
+            pred = neural.predict_corpus(dev.sentences, params, vocab, config)
             p, r, f1 = evaluation.strict_prf(gold, pred)
             record.update(dev_p=p, dev_r=r, dev_f1=f1)
         print(json.dumps(record))
@@ -232,11 +232,10 @@ def cmd_predict(args) -> int:
     from . import neural
     params, config, vocab = neural.load_checkpoint(args.checkpoint)
     corpus = read_corpus(args.input, args.format)
-    sentences = []
     t0 = time.perf_counter()
-    for sent in corpus:
-        pred = neural.predict(sent, params, vocab, config)
-        sentences.append(corpus_mod.Sentence(sent.tokens, tuple(pred)))
+    preds = neural.predict_corpus(corpus.sentences, params, vocab, config)
+    sentences = [corpus_mod.Sentence(sent.tokens, tuple(pred))
+                 for sent, pred in zip(corpus, preds)]
     wall = time.perf_counter() - t0
     write_corpus(Corpus(tuple(sentences)), args.output, "inline")
     tokens = sum(len(s.tokens) for s in corpus)

@@ -140,16 +140,29 @@ def make_corpus(n: int, seed: int, weights: dict[str, float] | None = None,
     """Generate a corpus of n sentences, deterministic given the seed.
 
     Distinct entity words are drawn per template so that duplicate mentions
-    cannot arise.
+    cannot arise. `weights` maps template kinds to finite weights; kinds
+    it leaves out or weighs at zero or below are never drawn, and at least
+    one weight must be positive (ValueError otherwise).
     """
     weights = dict(DERIVABLE_WEIGHTS if weights is None else weights)
+    unknown = sorted(set(weights) - set(KINDS))
+    if unknown:
+        raise ValueError(f"unknown template kinds {unknown}; known: {list(KINDS)}")
+    if not all(np.isfinite(w) for w in weights.values()):
+        raise ValueError(f"template weights must be finite, got {weights}")
     kinds = [k for k in KINDS if weights.get(k, 0.0) > 0]
+    if not kinds:
+        raise ValueError(f"no template kind has a positive weight: {weights}")
     probs = np.array([weights[k] for k in kinds], dtype=float)
     probs /= probs.sum()
+    # the arithmetic of rng.choice(len(kinds), p=probs), one draw a sentence,
+    # without its check of p on every call
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     sentences = []
     for _ in range(n):
-        kind = kinds[int(rng.choice(len(kinds), p=probs))]
+        kind = kinds[int(cdf.searchsorted(rng.random(), side="right"))]
         sentences.append(make_sentence(rng, kind, gap_range,
                                        pre_range=pre_range, post_range=post_range))
     return Corpus(tuple(sentences))

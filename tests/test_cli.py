@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import disconer
-from disconer import cli, neural, transitions
+from disconer import cli, evaluation, neural, transitions
 from disconer.corpus import Corpus, Sentence, parse_inline, write_inline
 from disconer.synth import make_corpus
 
@@ -455,6 +455,21 @@ def test_train_prints_one_json_line_per_epoch(workdir):
                 assert 0 <= r["dev_f1"] <= 1
         # the JSON lines carry each dev score once; no text line repeats it
         assert "epoch 0 dev_f1" not in out.stdout
+
+
+def test_train_dev_scores_are_those_of_predict_one_sentence_at_a_time(workdir):
+    """train --dev scores the dev set in lockstep; the scores are strict_prf
+    of `predict`, one sentence at a time, with the epoch's parameters."""
+    (workdir / "one_epoch.cfg").write_text("epochs = 1\n")
+    out = run_cli("--config", "one_epoch.cfg", "train", "--train", "train.txt",
+                  "--dev", "dev.txt", "--checkpoint", "one_epoch.bin", cwd=workdir)
+    assert out.returncode == 0, out.stderr
+    [record] = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
+    params, config, vocab = neural.load_checkpoint(str(workdir / "one_epoch.bin.last"))
+    dev = parse_inline((workdir / "dev.txt").read_text())
+    pred = [neural.predict(s, params, vocab, config) for s in dev]
+    want = evaluation.strict_prf([frozenset(s.mentions) for s in dev], pred)
+    assert (record["dev_p"], record["dev_r"], record["dev_f1"]) == want
 
 
 def test_predict_prints_one_json_line(workdir):

@@ -1397,3 +1397,105 @@ def test_gradient_matches_finite_differences_at_every_coordinate(attention):
             fd, an = (up - down) / (2 * eps), analytic[name][idx]
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-4))
     assert worst < 1e-6, worst
+
+
+# ---------------------------------------------------------------------------
+# Lockstep prediction of many sentences
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("L", [1, 2, 7, 33])
+def test_row_kernels_give_each_row_the_bytes_of_its_lone_call(L):
+    """_affine and _lstm_cell on L rows, and _attend_rows then _affine as the
+    output layer, give every row the bytes of the one-row call: of _affine,
+    _lstm_cell (also from the zero state) and _score."""
+    rng = np.random.default_rng(L)
+    S, R, A, n_actions = 16, 32, 12, 7
+    W, b = rng.normal(size=(4 * S, 2 * S)), rng.normal(size=4 * S)
+    X, Hs, Cs = rng.normal(size=(3, L, S))
+    got = ad._affine(W, np.concatenate([X, Hs], axis=1), b)
+    assert all(got[r].tobytes() == ad._affine(W, np.concatenate([X[r], Hs[r]]), b).tobytes()
+               for r in range(L))
+    for zero_state in (False, True):
+        rows = ad._lstm_cell(W, b, X, *((None, None) if zero_state else (Hs, Cs)))[:2]
+        for r in range(L):
+            one = ad._lstm_cell(W, b, X[r], *((None, None) if zero_state else (Hs[r], Cs[r])))[:2]
+            assert [a[r].tobytes() for a in rows] == [a.tobytes() for a in one]
+
+    out_W, out_b = rng.normal(size=(n_actions, 3 * S + 3 * R + A)), rng.normal(size=n_actions)
+    for m in (1, 3, 8, 13):
+        spans, acts = rng.normal(size=(L, 3, S)), rng.normal(size=(L, A))
+        starts = rng.integers(0, 4, size=L)
+        reps = [rng.normal(size=(start + m, R)) for start in starts]
+        keys = [rng.normal(size=(start + m, 3 * S)) for start in starts]
+        attended = ad._attend_rows(spans, np.array([k[-m:] for k in keys]),
+                                   np.array([x[-m:] for x in reps]))
+        features = np.concatenate([spans.reshape(L, -1), attended.reshape(L, -1), acts], axis=1)
+        logits = ad._affine(out_W, features, out_b)
+        for r in range(L):
+            one, one_features, _ = ad._score(spans[r:r + 1], acts[r:r + 1], [int(starts[r])],
+                                             reps[r], keys[r], out_W, out_b)
+            assert attended[r].tobytes() == one_features[0, 3 * S:3 * S + 3 * R].tobytes()
+            assert logits[r].tobytes() == one[0].tobytes()
+
+
+def _step_logits(monkeypatch, run, params, lockstep):
+    """run() and every step's logits: one array per step, of one row
+    (predict) or of one row per live sentence (predict_corpus)."""
+    seen = []
+    with monkeypatch.context() as mp:
+        if lockstep:
+            affine, out_W = ad._affine, params.t["out_W"].data
+
+            def recording(W, x, b):
+                out = affine(W, x, b)
+                if W is out_W:
+                    seen.append(out)
+                return out
+            mp.setattr(ad, "_affine", recording)
+        else:
+            attend_ = neural.attend
+            mp.setattr(neural, "attend", lambda *args: seen.append(attend_(*args)) or seen[-1])
+        return run(), seen
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_predict_corpus_is_predict_bitwise_at_every_step(monkeypatch, attention):
+    """On the golden-digest corpora, in chunks of 1, 3 and all sentences:
+    the same mention sets as one sentence at a time, and each step's logits
+    bitwise those of the one-sentence rollout."""
+    train_c, test_c = make_corpus(80, seed=41), make_corpus(30, seed=42)
+    config = ScorerConfig(hidden_dim=8, stack_dim=8, epochs=6, attention=attention)
+    params, vocab, _ = train(train_c, config)
+    want, lone = [], []
+    for s in test_c:
+        pred, steps = _step_logits(monkeypatch, lambda: predict(s, params, vocab, config),
+                                   params, lockstep=False)
+        want.append(pred)
+        lone.append([step[0].tobytes() for step in steps])
+    for chunk in (1, 3, len(test_c)):
+        monkeypatch.setattr(neural, "PREDICT_CHUNK", chunk)
+        got, steps = _step_logits(
+            monkeypatch, lambda: neural.predict_corpus(test_c.sentences, params, vocab, config),
+            params, lockstep=True)
+        assert got == want
+        if chunk == len(test_c):       # step t has a row for each sentence still live
+            assert [sorted(row.tobytes() for row in step) for step in steps] == \
+                [sorted(s[t] for s in lone if len(s) > t) for t in range(len(steps))]
+
+
+def test_predict_corpus_steps_past_empty_and_one_token_sentences(monkeypatch):
+    """An empty sentence is never live; a one-token one leaves the chunk
+    after one or two steps while the others go on."""
+    params = init_params(CONFIG, VOCAB)
+    sents = [CORPUS.sentences[0], Sentence((), ()), Sentence(("pain",), ()),
+             CORPUS.sentences[1]]
+    assert min(len(sents[0].tokens), len(sents[3].tokens)) > 1
+    want = [predict(s, params, VOCAB, CONFIG) for s in sents]
+    lengths = []
+    valid = neural.valid_actions
+    monkeypatch.setattr(neural, "valid_actions",
+                        lambda state, n, types: lengths.append(n) or valid(state, n, types))
+    assert neural.predict_corpus(sents, params, VOCAB, CONFIG) == want
+    assert want[1] == frozenset()
+    assert 0 not in lengths and lengths.count(1) in (1, 2)
+    assert lengths.count(len(sents[0].tokens)) > 2
