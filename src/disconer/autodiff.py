@@ -25,17 +25,28 @@ clear_grad() read the layout.
 The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _project, _stack_rows, _lstm_cell, _lstm_seq, _bilstm, _char_cnn,
 _attend, _attention, _score, _masked_nll; _lstm_seq_grads is the backward of
-_lstm_seq). _affine and _lstm_cell also take a matrix of rows, and
-_attend_rows attends for rows of different sentences; each row is bitwise
-the one-row call, which lockstep prediction relies on. A tape op computes
-its value through its kernel, defines back(g) for its output's gradient g
-and hands both to Tape.record, which attaches back to the new node.
-backward() alone decides that a closure runs: it drops each one and calls
-it once, with its node's gradient, only when that gradient exists. So a
-node no loss reaches passes nothing on, and a finished tape is freed by
-reference counting. lstm_cell is two such nodes, c2 then h2, and h2's
-closure adds into c2's gradient. The LSTM kernels own the zero state:
-_lstm_cell takes h = c = None for it, and _lstm_seq starts from it.
+_lstm_seq). _affine and _lstm_cell also take a matrix of rows,
+_attend_rows attends for rows of different sentences, and _lstm_seq and
+_bilstm take a leading batch axis of B sequences of one length; each row or
+sequence is bitwise its lone call, which lockstep prediction relies on. The
+rule: a batched product is a stack of products of the lone call's shapes
+(x[:, None, :] @ W.T, one BLAS call per row; a 3-D X @ W.T, one GEMM per
+sequence), never one GEMM over all rows, whose sums BLAS groups by the row
+count. For that reason _char_cnn stays per sentence: its one GEMM over the
+windows of a sentence's words gives bytes that depend on how many windows
+the call holds (with OpenBLAS at 24 columns, a one-row call differs from
+the same row in a larger one), so a sentence's char-CNN vectors come out
+bitwise only from its own call. The tape ops call the LSTM kernels with
+B = 1; Forward's bilstm takes one sequence or B of them.
+
+A tape op computes its value through its kernel, defines back(g) for its
+output's gradient g and hands both to Tape.record, which attaches back to
+the new node. backward() alone decides that a closure runs: it drops each
+one and calls it once, with its node's gradient, only when that gradient
+exists. So a node no loss reaches passes nothing on, and a finished tape
+is freed by reference counting. lstm_cell is two such nodes, c2 then h2,
+and h2's closure adds into c2's gradient. The LSTM kernels own the zero
+state: _lstm_cell takes h = c = None for it, and _lstm_seq starts from it.
 
 A rollout calls its ops through an op set: Recorded records them on a tape,
 Forward runs the kernels alone, with no Tape, no Tensor and no closure.
@@ -342,51 +353,63 @@ def lstm_cell(tape: Tape, W: Tensor, b: Tensor, x: Tensor,
 
 def _lstm_seq(W: np.ndarray, b: np.ndarray, X: np.ndarray):
     """D LSTMs stepped in lockstep from zero states over D sequences of one
-    length: W (D, 4H, in + H), b (D, 4H), X (D, n, in).
+    length, for each of B batches of them: W (D, 4H, in + H), b (D, 4H),
+    X (B, D, n, in).
 
     The input terms of all steps are one product per sequence. The D
     recurrences run as one LSTM of hidden size D*H whose recurrent weights U
-    are block-diagonal, so a step is one (D*H) x (4*D*H) product and one
-    set of elementwise ops; gate k of sequence d sits at columns
+    are block-diagonal, so a step is one (D*H) x (4*D*H) product per batch
+    and one set of elementwise ops; gate k of sequence d sits at columns
     (k*D + d)*H of the step's pre-activations. One tanh covers all gates:
     sigmoid(z) = (1 + tanh(z / 2)) / 2, with the halving folded into the
     i, f and o columns of the inputs and of U (exact, a power of two).
-    Returns the hidden states (D, n, H) and the activations the backward
-    pass reads.
+
+    Both products of batch k are those of the B = 1 call on X[k:k+1], of
+    the same shapes: the input product one (n, in) @ (in, 4H) GEMM per
+    sequence, the step's h @ U a stack of the lone products (as `_matvec`
+    stacks them). So each batch is bitwise its lone call. Returns the
+    hidden states (B, D, n, H) and the activations the backward pass reads.
     """
-    D, n, in_dim = X.shape
+    B, D, n, in_dim = X.shape
     H = W.shape[1] // 4
     DH = D * H
-    XW = X @ W[:, :, :in_dim].transpose(0, 2, 1) + b[:, None, :]          # (D, n, 4H)
-    XW = XW.reshape(D, n, 4, H).transpose(1, 2, 0, 3).reshape(n, 4 * DH)
+    XW = X @ W[:, :, :in_dim].transpose(0, 2, 1) + b[:, None, :]          # (B, D, n, 4H)
+    XW = XW.reshape(B, D, n, 4, H).transpose(2, 0, 3, 1, 4).reshape(n, B, 1, 4 * DH)
     U = np.zeros((D, H, 4, D, H))
     for d in range(D):
         U[d, :, :, d] = W[d, :, in_dim:].reshape(4, H, H).transpose(2, 0, 1)
     U = U.reshape(DH, 4 * DH)
-    XW[:, :3 * DH] *= 0.5
+    XW[..., :3 * DH] *= 0.5
     U_half = U.copy()
     U_half[:, :3 * DH] *= 0.5
-    h = c = np.zeros(DH)
+    # a state is (B, 1, D*H), so h @ U_half is a stack of B lone products;
+    # the in-place steps round as tanh(x_t + h U), a/2 + 1/2 and f*c + i*g
+    h = c = np.zeros((B, 1, DH))
     hs, cs, sigs, gs, tcs = [h], [c], [], [], []
     for t in range(n):
-        a = np.tanh(XW[t] + h @ U_half)
-        sig = a[:3 * DH] * 0.5 + 0.5
-        g = a[3 * DH:]
-        c = sig[DH:2 * DH] * c + sig[:DH] * g
+        a = h @ U_half
+        a += XW[t]
+        np.tanh(a, out=a)
+        sig = a[..., :3 * DH] * 0.5
+        sig += 0.5
+        g = a[..., 3 * DH:]
+        c = sig[..., DH:2 * DH] * c
+        c += sig[..., :DH] * g
         tc = np.tanh(c)
-        h = tc * sig[2 * DH:]
+        h = tc * sig[..., 2 * DH:]
         hs.append(h)
         cs.append(c)
         sigs.append(sig)
         gs.append(g)
         tcs.append(tc)
-    states = np.array(hs).reshape(n + 1, D, H).transpose(1, 0, 2)      # h_0 .. h_n
-    return states[:, 1:], (U, states[:, :-1], cs, sigs, gs, tcs)
+    states = np.array(hs).reshape(n + 1, B, D, H).transpose(1, 2, 0, 3)   # h_0 .. h_n
+    return states[:, :, 1:], (U, states[:, :, :-1], cs, sigs, gs, tcs)
 
 
 def _lstm_seq_grads(W: np.ndarray, X: np.ndarray, cache, dH: np.ndarray):
     """Backpropagation through time for _lstm_seq: dW, db and dX from the
-    gradient dH (D, n, H) of the hidden states.
+    gradient dH (D, n, H) of the hidden states, for the cache of a B = 1
+    call on X[None].
 
     The gate derivatives of all steps are taken at once before the loop,
     so a step is one product with U and a few elementwise ops; the weight
@@ -395,13 +418,13 @@ def _lstm_seq_grads(W: np.ndarray, X: np.ndarray, cache, dH: np.ndarray):
     U, h_prev, cs, sigs, gs, tcs = cache
     D, n, in_dim = X.shape
     DH = U.shape[0]
-    sig, g, tc = np.array(sigs), np.array(gs), np.array(tcs)
+    sig, g, tc = (np.array(v).reshape(n, -1) for v in (sigs, gs, tcs))
     dsig = sig * (1.0 - sig)
     # dz of a step is [dc * (g, c_prev, -, i) * the gates' derivatives] with
     # the o slot dh * tc * do/dz
     from_c = np.zeros((n, 4, DH))
     from_c[:, 0] = g * dsig[:, :DH]
-    from_c[:, 1] = np.array(cs[:-1]) * dsig[:, DH:2 * DH]
+    from_c[:, 1] = np.array(cs[:-1]).reshape(n, DH) * dsig[:, DH:2 * DH]
     from_c[:, 3] = sig[:, :DH] * (1.0 - g * g)
     o_from_h = tc * dsig[:, 2 * DH:]
     c_from_h = sig[:, 2 * DH:] * (1.0 - tc * tc)
@@ -418,7 +441,7 @@ def _lstm_seq_grads(W: np.ndarray, X: np.ndarray, cache, dH: np.ndarray):
         dh_next = U @ dz.reshape(-1)
         dc_next = dc * f[t]
     dG = dG.reshape(n, 4, D, DH // D).transpose(2, 0, 1, 3).reshape(D, n, -1)
-    inputs = np.concatenate([X, h_prev], axis=2)                        # [x_t, h_t-1]
+    inputs = np.concatenate([X, h_prev[0]], axis=2)                     # [x_t, h_t-1]
     return dG.transpose(0, 2, 1) @ inputs, dG.sum(axis=1), dG @ W[:, :, :in_dim]
 
 
@@ -427,7 +450,7 @@ def lstm_seq(tape: Tape, W: Tensor, b: Tensor, X: Tensor) -> Tensor:
     states (n, H). W has shape (4H, in + H), gate order i,f,o,g, as in
     lstm_cell."""
     Ws, Xs = W.data[None], X.data[None]
-    hs, cache = _lstm_seq(Ws, b.data[None], Xs)
+    hs, cache = _lstm_seq(Ws, b.data[None], Xs[None])
 
     def back(g):
         dW, db, dX = _lstm_seq_grads(Ws, Xs, cache, g[None])
@@ -435,35 +458,37 @@ def lstm_seq(tape: Tape, W: Tensor, b: Tensor, X: Tensor) -> Tensor:
         _accum(b, db[0])
         _accum(X, dX[0])
 
-    return tape.record(hs[0], back)
+    return tape.record(hs[0, 0], back)
 
 
 def _bilstm(W_fw: np.ndarray, b_fw: np.ndarray, W_bw: np.ndarray, b_bw: np.ndarray,
             X: np.ndarray):
-    """Row i of the output is [forward h_i, backward h_i]; also the stacked
-    weights, the two input sequences and the activations."""
-    W, Xs = np.stack([W_fw, W_bw]), np.stack([X, X[::-1]])
+    """A BiLSTM over each of B sequences of one length, X (B, n, in): row i
+    of sequence k's output (B, n, 2H) is [forward h_i, backward h_i]; also
+    the stacked weights, the two input sequences (B, 2, n, in) and the
+    activations. Each sequence is bitwise its lone call (`_lstm_seq`)."""
+    W, Xs = np.stack([W_fw, W_bw]), np.stack([X, X[:, ::-1]], axis=1)
     hs, cache = _lstm_seq(W, np.stack([b_fw, b_bw]), Xs)
-    return np.concatenate([hs[0], hs[1, ::-1]], axis=1), W, Xs, cache
+    return np.concatenate([hs[:, 0], hs[:, 1, ::-1]], axis=2), W, Xs, cache
 
 
 def bilstm(tape: Tape, W_fw: Tensor, b_fw: Tensor, W_bw: Tensor, b_bw: Tensor,
            X: Tensor) -> Tensor:
     """A BiLSTM over the rows of X (n, in): (n, 2H), the two directions
     stepped in lockstep."""
-    out, W, Xs, cache = _bilstm(W_fw.data, b_fw.data, W_bw.data, b_bw.data, X.data)
+    out, W, Xs, cache = _bilstm(W_fw.data, b_fw.data, W_bw.data, b_bw.data, X.data[None])
 
     def back(g):
         H = g.shape[1] // 2
         dH = np.stack([g[:, :H], g[::-1, H:]])
-        dW, db, dXs = _lstm_seq_grads(W, Xs, cache, dH)
+        dW, db, dXs = _lstm_seq_grads(W, Xs[0], cache, dH)
         _accum(W_fw, dW[0])
         _accum(b_fw, db[0])
         _accum(W_bw, dW[1])
         _accum(b_bw, db[1])
         _accum(X, dXs[0] + dXs[1, ::-1])
 
-    return tape.record(out, back)
+    return tape.record(out[0], back)
 
 
 def _char_cnn(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, lengths: list[int]):
@@ -741,9 +766,14 @@ class Forward:
     rows_slice = staticmethod(lambda M, start, stop: M[start:stop])
     project = staticmethod(lambda X, Ws, b=None: _project(X, Ws, b)[0])
     lstm_cell = staticmethod(lambda W, b, x, h, c: _lstm_cell(W, b, x, h, c)[:2])
-    lstm_seq = staticmethod(lambda W, b, X: _lstm_seq(W[None], b[None], X[None])[0][0])
-    bilstm = staticmethod(lambda W_fw, b_fw, W_bw, b_bw, X:
-                          _bilstm(W_fw, b_fw, W_bw, b_bw, X)[0])
+    lstm_seq = staticmethod(lambda W, b, X: _lstm_seq(W[None], b[None], X[None, None])[0][0, 0])
+
+    @staticmethod
+    def bilstm(W_fw, b_fw, W_bw, b_bw, X):
+        """The BiLSTM of X (n, in), or of each of B sequences X (B, n, in)."""
+        out = _bilstm(W_fw, b_fw, W_bw, b_bw, X.reshape((-1,) + X.shape[-2:]))[0]
+        return out.reshape(X.shape[:-1] + out.shape[-1:])
+
     char_cnn = staticmethod(lambda filters, bias, emb, lengths:
                             _char_cnn(filters, bias, emb, lengths)[0])
     attend = staticmethod(lambda query, W, B: _attend(query, W, B)[0])

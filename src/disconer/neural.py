@@ -15,7 +15,9 @@ on plain arrays. The token encoder runs as whole-sentence ops, and the
 scoring op takes any number of steps: greedy prediction scores each step as
 it comes, teacher forcing all of a sentence's steps at once after the loop.
 `predict_corpus` predicts many sentences with their greedy rollouts stepped
-in lockstep, bitwise what `predict` gives each of them.
+in lockstep, and encodes all sentences of one length with one encoder call
+(the char-CNN still per sentence), bitwise what `predict` gives each of
+them.
 """
 
 from __future__ import annotations
@@ -213,25 +215,38 @@ def init_params(config: ScorerConfig, vocab: Vocab) -> ScorerParams:
 # Token representations
 # ---------------------------------------------------------------------------
 
-def token_reps(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig):
-    """The sentence's token encodings, each from one whole-sentence op:
-    the stack inputs proj (n, S) of the tokens, and with attention on their
-    contextual vectors reps (n, rep_dim) and the attention keys (n, 3S) of
-    the three span slots (both None when attention is off, as nothing reads
-    them).
+def token_reps(ops: Ops, sentences: list[Sentence], vocab: Vocab, config: ScorerConfig,
+               known: dict[str, tuple[int, list[int]]] | None = None):
+    """The token encodings of sentences of one length n, each from one op
+    over all of them: the stack inputs proj of the tokens, and with
+    attention on their contextual vectors reps and the attention keys of the
+    three span slots (both None when attention is off, as nothing reads
+    them). One sentence gives (n, S), (n, rep_dim) and (n, 3S); B sentences,
+    on plain arrays only (a tape records one sentence), give each of them
+    with a leading axis of B, every sentence bitwise its own call.
 
     A token is its word embedding and char-CNN vector, and a BiLSTM runs
-    over the tokens. Unknown words map to the UNK embedding.
+    over the tokens. Unknown words map to the UNK embedding. The char-CNN
+    runs per sentence: its GEMM rows depend on the number of rows in the
+    call. `known` maps each word to its word index and char indices and is
+    filled as words are met; a caller that encodes many groups passes one.
     """
     p = ops.p
-    tokens = sentence.tokens
-    if not tokens:
+    if not sentences[0].tokens:
         return None, None, None
-    words = ops.rows_lookup(p["word_emb"], [vocab.word_index(tok) for tok in tokens])
-    chars = ops.rows_lookup(p["char_emb"], [c for tok in tokens for c in vocab.char_indices(tok)])
-    cnn = ops.char_cnn(p["char_w"], p["char_b"], chars, [len(tok) for tok in tokens])
-    reps = ops.bilstm(p["lstm_fw_W"], p["lstm_fw_b"], p["lstm_bw_W"], p["lstm_bw_b"],
-                      ops.concat([words, cnn]))
+    known = {} if known is None else known
+    inputs = []
+    for sent in sentences:
+        for tok in sent.tokens:
+            if tok not in known:
+                known[tok] = vocab.word_index(tok), vocab.char_indices(tok)
+        ids = [known[tok] for tok in sent.tokens]
+        words = ops.rows_lookup(p["word_emb"], [word for word, _ in ids])
+        chars = ops.rows_lookup(p["char_emb"], [c for _, cs in ids for c in cs])
+        cnn = ops.char_cnn(p["char_w"], p["char_b"], chars, [len(cs) for _, cs in ids])
+        inputs.append(ops.concat([words, cnn]))
+    X = inputs[0] if len(inputs) == 1 else np.stack(inputs)
+    reps = ops.bilstm(p["lstm_fw_W"], p["lstm_fw_b"], p["lstm_bw_W"], p["lstm_bw_b"], X)
     proj = ops.project(reps, [p["proj_W"]], p["proj_b"])
     if not config.attention:
         return proj, None, None
@@ -366,7 +381,7 @@ def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
     """
     n = len(sentence.tokens)
     actions, action_idx = vocab.actions, vocab.action_index
-    proj, reps, keys = token_reps(ops, sentence, vocab, config)
+    proj, reps, keys = token_reps(ops, [sentence], vocab, config)
     teacher = gold_actions is not None
 
     state = ParserState()
@@ -419,13 +434,15 @@ def predict(sentence: Sentence, params: ScorerParams, vocab: Vocab,
 # ---------------------------------------------------------------------------
 
 # Sentences `predict_corpus` steps together. Measured on a 2-core Xeon
-# (numpy 2.4, OpenBLAS on one thread), medians of 7 passes over long-gap
-# synthetic sentences: 300 took 300 ms one at a time, and 153, 117, 123,
-# 113 and 113 ms in chunks of 16, 64, 128, 256 and 512; 1200 took 1131 ms
-# one at a time, and 591, 453, 428, 411 and 422 ms. Past about 128 rows the
-# per-step numpy calls no longer dominate; 256 was the fastest on the larger
-# file. A chunk holds its padded encodings and stack slots, about 1.2 KB a
-# token: 7 MB for 256 sentences of 22 tokens.
+# (numpy 2.4, OpenBLAS on one thread), with one encoder call per group of
+# sentences of one length, medians of 21 passes (3 one at a time) over
+# long-gap synthetic sentences: 300 took 308 ms one at a time, and 89, 80,
+# 86 and 73 ms in chunks of 64, 128, 256 and 512; 1200 took 1186 ms one at
+# a time, and 305, 282, 270 and 281 ms. Against 256, 512 won 18 of 20
+# alternating passes on the 300-sentence file, which it takes in one chunk
+# instead of two, but 12 of 20 on the 1200-sentence one (272 against 277 ms
+# at the median), so 256 stays. A chunk holds its padded encodings and
+# stack slots, about 1.2 KB a token: 7 MB for 256 sentences of 22 tokens.
 PREDICT_CHUNK = 256
 
 
@@ -435,12 +452,15 @@ def predict_corpus(sentences, params: ScorerParams, vocab: Vocab,
     over chunks of PREDICT_CHUNK sentences, forward only; a chunk takes
     sentences of about one length.
 
-    A step scores every live sentence of the chunk at once, and its
-    Stack-LSTM pushes and action-LSTM step run as row kernels; the symbolic
-    states stay per sentence, and a sentence leaves the chunk when it is
-    terminal. Every product is a stack of the one-sentence products, so each
-    logit is bitwise the one `predict` computes and the mention sets are the
-    same. One sentence alone is faster through `predict`.
+    The sentences of the chunk that have one length are encoded by one
+    `token_reps` call: one BiLSTM call and one call per projection over all
+    of them, the char-CNN per sentence. A step scores every live sentence of
+    the chunk at once, and its Stack-LSTM pushes and action-LSTM step run as
+    row kernels; the symbolic states stay per sentence, and a sentence
+    leaves the chunk when it is terminal. Every product is a stack of the
+    one-sentence products, so each logit is bitwise the one `predict`
+    computes and the mention sets are the same. One sentence alone is faster
+    through `predict`.
     """
     ops = ad.Forward(params.arrays())
     sentences = list(sentences)
@@ -472,10 +492,17 @@ def _predict_chunk(ops: ad.Forward, chunk: list[Sentence], vocab: Vocab,
     reps = keys = None
     if config.attention:
         reps, keys = np.zeros((k, width, config.rep_dim)), np.zeros((k, width, 3 * S))
-    for r, sent in enumerate(chunk):
-        for pad, enc in zip((proj, reps, keys), token_reps(ops, sent, vocab, config)):
+    # one encoder call per group of sentences of one length; each word's
+    # indices are looked up once for the chunk
+    groups: dict[int, list[int]] = {}
+    for r, n in enumerate(n_tokens):
+        groups.setdefault(n, []).append(r)
+    known: dict[str, tuple[int, list[int]]] = {}
+    for n, group in groups.items():
+        encs = token_reps(ops, [chunk[r] for r in group], vocab, config, known)
+        for pad, enc in zip((proj, reps, keys), encs):
             if enc is not None:
-                pad[r, width - n_tokens[r]:] = enc
+                pad[group, width - n:] = enc
     # Stack-LSTM entries (input, h, c) sit in slots 1..depth of each row;
     # slot 0 is the zero state a push onto an empty stack starts from. No
     # stack holds more spans than its sentence has tokens.

@@ -327,13 +327,13 @@ def test_token_reps_shapes():
     params = init_params(CONFIG, VOCAB)
     s = CORPUS.sentences[0]
     tape = ad.Tape()
-    proj, reps, keys = token_reps(ad.Recorded(tape, params.t), s, VOCAB, CONFIG)
+    proj, reps, keys = token_reps(ad.Recorded(tape, params.t), [s], VOCAB, CONFIG)
     n = len(s.tokens)
     assert proj.data.shape == (n, CONFIG.stack_dim)
     assert reps.data.shape == (n, CONFIG.rep_dim)
     assert keys.data.shape == (n, 3 * CONFIG.stack_dim)
     off = replace(CONFIG, attention=False)
-    proj, reps, keys = token_reps(ad.Recorded(tape, params.t), s, VOCAB, off)
+    proj, reps, keys = token_reps(ad.Recorded(tape, params.t), [s], VOCAB, off)
     assert proj.data.shape == (n, CONFIG.stack_dim) and reps is None and keys is None
 
 
@@ -1438,6 +1438,76 @@ def test_row_kernels_give_each_row_the_bytes_of_its_lone_call(L):
             assert logits[r].tobytes() == one[0].tobytes()
 
 
+def _vector_lstm_seq(W, b, X):
+    """_lstm_seq's recurrence over one batch X (D, n, in) with the state a
+    vector, each step's recurrent product the lone h @ U_half: the hidden
+    states (D, n, H), U and the per-step c (c_0 .. c_n), sig, g and tc."""
+    D, n, in_dim = X.shape
+    H = W.shape[1] // 4
+    DH = D * H
+    XW = X @ W[:, :, :in_dim].transpose(0, 2, 1) + b[:, None, :]
+    XW = XW.reshape(D, n, 4, H).transpose(1, 2, 0, 3).reshape(n, 4 * DH)
+    U = np.zeros((D, H, 4, D, H))
+    for d in range(D):
+        U[d, :, :, d] = W[d, :, in_dim:].reshape(4, H, H).transpose(2, 0, 1)
+    U = U.reshape(DH, 4 * DH)
+    XW[:, :3 * DH] *= 0.5
+    U_half = U.copy()
+    U_half[:, :3 * DH] *= 0.5
+    h = c = np.zeros(DH)
+    hs, cs, sigs, gs, tcs = [], [c], [], [], []
+    for t in range(n):
+        a = np.tanh(XW[t] + h @ U_half)
+        sig = a[:3 * DH] * 0.5 + 0.5
+        g = a[3 * DH:]
+        c = sig[DH:2 * DH] * c + sig[:DH] * g
+        tc = np.tanh(c)
+        h = tc * sig[2 * DH:]
+        hs.append(h)
+        cs.append(c)
+        sigs.append(sig)
+        gs.append(g)
+        tcs.append(tc)
+    return np.array(hs).reshape(n, D, H).transpose(1, 0, 2), (U, cs, sigs, gs, tcs)
+
+
+@pytest.mark.parametrize("H", [8, 16])
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_lstm_kernels_give_each_sequence_of_a_batch_the_bytes_of_its_lone_call(n, H):
+    """_lstm_seq (one and two directions) and _bilstm over B = 1, 2 and 7
+    sequences of one length give each sequence the bytes of its B = 1 call.
+    The B = 1 call gives the bytes of the recurrence with a vector state, in
+    its states and in the cache _lstm_seq_grads reads, and _lstm_seq_grads
+    gives the same bytes from either cache."""
+    rng = np.random.default_rng(100 * n + H)
+    in_dim = 24
+    W, b = rng.normal(size=(2, 4 * H, in_dim + H)), rng.normal(size=(2, 4 * H))
+    for B in (1, 2, 7):
+        for D in (1, 2):
+            X = rng.normal(size=(B, D, n, in_dim))
+            hs = ad._lstm_seq(W[:D], b[:D], X)[0]
+            for k in range(B):
+                assert hs[k].tobytes() == ad._lstm_seq(W[:D], b[:D], X[k:k + 1])[0][0].tobytes()
+        X = rng.normal(size=(B, n, in_dim))
+        weights = W[0], b[0], W[1], b[1]
+        out = ad._bilstm(*weights, X)[0]
+        assert out.shape == (B, n, 2 * H)
+        for k in range(B):
+            assert out[k].tobytes() == ad._bilstm(*weights, X[k:k + 1])[0][0].tobytes()
+
+    X, dH = rng.normal(size=(2, n, in_dim)), rng.normal(size=(2, n, H))
+    hs, cache = ad._lstm_seq(W, b, X[None])
+    want, (U, cs, sigs, gs, tcs) = _vector_lstm_seq(W, b, X)
+    assert hs[0].tobytes() == want.tobytes()
+    assert cache[0].tobytes() == U.tobytes()
+    for got, ref in zip(cache[2:], (cs, sigs, gs, tcs)):
+        assert [a.tobytes() for a in got] == [a[None].tobytes() for a in ref]
+    h_prev = np.concatenate([np.zeros((2, 1, H)), want[:, :-1]], axis=1)
+    ref_cache = (U, h_prev[None], *([a[None] for a in ref] for ref in (cs, sigs, gs, tcs)))
+    assert [g.tobytes() for g in ad._lstm_seq_grads(W, X, cache, dH)] == \
+        [g.tobytes() for g in ad._lstm_seq_grads(W, X, ref_cache, dH)]
+
+
 def _step_logits(monkeypatch, run, params, lockstep):
     """run() and every step's logits: one array per step, of one row
     (predict) or of one row per live sentence (predict_corpus)."""
@@ -1499,3 +1569,39 @@ def test_predict_corpus_steps_past_empty_and_one_token_sentences(monkeypatch):
     assert want[1] == frozenset()
     assert 0 not in lengths and lengths.count(1) in (1, 2)
     assert lengths.count(len(sents[0].tokens)) > 2
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_predict_corpus_is_predict_bitwise_on_unseen_repeated_and_short_words(monkeypatch,
+                                                                             attention):
+    """A file with unseen words and an unseen character, repeated words,
+    many sentences of one length and one-word sentences of at most three
+    characters (one char-CNN window: a one-row GEMM, whose bytes a larger
+    call would not give). In chunks of 4 and of all sentences, predict_corpus
+    gives predict's mention sets and every step's logits bitwise."""
+    config = ScorerConfig(epochs=2, attention=attention)
+    params, vocab, _ = train(make_corpus(60, seed=43), config)
+    sents = [Sentence(s.tokens[:5], ()) for s in make_corpus(40, seed=44) if len(s.tokens) >= 5]
+    sents += [Sentence(("pain", "pain", "leg", "pain", "pain"), ()),
+              Sentence(("zqxv", "pain", "ñandú", "leg", "zqxv", "arm"), ()),
+              Sentence(("leg",), ()), Sentence(("é",), ()), Sentence(("zq",), ()),
+              Sentence(("arm", "ñ"), ())]
+    assert "ñ" not in vocab.chars and "zqxv" not in vocab.words and "pain" in vocab.words
+    assert sum(len(s.tokens) == 5 for s in sents) >= 20
+    want, lone = [], []
+    for s in sents:
+        pred, steps = _step_logits(monkeypatch, lambda: predict(s, params, vocab, config),
+                                   params, lockstep=False)
+        want.append(pred)
+        lone.append([step[0].tobytes() for step in steps])
+    for chunk in (4, len(sents)):
+        monkeypatch.setattr(neural, "PREDICT_CHUNK", chunk)
+        got, steps = _step_logits(
+            monkeypatch, lambda: neural.predict_corpus(sents, params, vocab, config),
+            params, lockstep=True)
+        assert got == want
+        assert sorted(row.tobytes() for step in steps for row in step) == \
+            sorted(row for rows in lone for row in rows)
+        if chunk == len(sents):        # step t has a row for each sentence still live
+            assert [sorted(row.tobytes() for row in step) for step in steps] == \
+                [sorted(s[t] for s in lone if len(s) > t) for t in range(len(steps))]
