@@ -11,8 +11,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 
 class CorpusError(ValueError):
     """Malformed corpus input (carries a line number when known)."""
@@ -458,6 +456,7 @@ def resample(corpus: Corpus, mode: ResampleMode, seed: int) -> Corpus:
         return Corpus(tuple(disc))
     if not disc:
         raise CorpusError("corpus has no discontinuous sentences; cannot balance")
+    import numpy as np  # here, so the commands that never resample start without numpy
     rng = np.random.default_rng(seed)
     if mode is ResampleMode.UNDER_SAMPLE:
         k = min(len(disc), len(rest))

@@ -54,6 +54,34 @@ def workdir(tmp_path_factory):
     return d
 
 
+@pytest.mark.parametrize("command, loaded", [
+    ("stats train.txt", ""),
+    ("convert train.txt {out}", ""),
+    ("convert train.txt {out} --flatten", ""),
+    ("convert train.txt {out} --to tags", "disconer.schemas"),
+    ("oracle-check train.txt", ""),
+    ("trace train.txt --sentence 3", ""),
+    ("evaluate test.txt test.txt", "disconer.evaluation"),
+    # the check can fail: resampling reads its seed through the model's
+    # ScorerConfig and draws from numpy's generator
+    ("convert train.txt {out} --resample under_sample",
+     "disconer.autodiff disconer.neural numpy"),
+])
+def test_each_command_imports_only_what_it_runs(workdir, tmp_path, command, loaded):
+    """Run in a fresh interpreter, each command loads exactly those of numpy,
+    the model, schemas and evaluation that it uses: the symbolic commands no
+    numpy, and oracle-check none of them."""
+    argv = [arg.format(out=tmp_path / "out.txt") for arg in command.split()]
+    watched = ["disconer.autodiff", "disconer.evaluation", "disconer.neural",
+               "disconer.schemas", "numpy"]
+    proc = run_python("-c", "import json, sys\nfrom disconer import cli\n"
+                      f"code = cli.main({argv!r})\n"
+                      f"print(json.dumps([code, [m for m in {watched!r} if m in sys.modules]]))",
+                      cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded.split()]
+
+
 def test_stats(workdir):
     out = run_cli("stats", "train.txt", cwd=workdir)
     assert out.returncode == 0

@@ -396,6 +396,19 @@ def test_resample_counts():
     assert sum(1 for s in over if s.discontinuous_mentions()) == 8
 
 
+@pytest.mark.parametrize("seed, chosen", [
+    (0, [0, 1, 3, 5, 7, 8, 11]),
+    (7, [8, 10, 14, 18, 21, 22, 23]),
+])
+def test_resample_under_sample_draws_are_pinned(seed, chosen):
+    """The sentences UNDER_SAMPLE picks for a seed, as positions in its
+    input: the discontinuous ones in order, then the drawn others."""
+    corpus = make_corpus(24, seed=3, weights={"flat": 2.0, "no_overlap": 1.0})
+    position = {id(s): i for i, s in enumerate(corpus)}
+    under = resample(corpus, ResampleMode.UNDER_SAMPLE, seed=seed)
+    assert [position[id(s)] for s in under] == [4, 9, 12, 13, 15, 17, 20] + chosen
+
+
 def test_resample_deterministic():
     corpus = make_corpus(100, seed=1)
     a = resample(corpus, ResampleMode.UNDER_SAMPLE, seed=5)
