@@ -25,18 +25,14 @@ clear_grad() read the layout.
 The forward arithmetic of the fused ops lives in kernels on plain arrays
 (_affine, _project, _stack_rows, _lstm_cell, _lstm_seq, _bilstm, _char_cnn,
 _attend, _attention, _score, _masked_nll; _lstm_seq_grads is the backward of
-_lstm_seq). _affine and _lstm_cell also take a matrix of rows,
-_attend_rows attends for rows of different sentences, and _lstm_seq and
-_bilstm take a leading batch axis of B sequences of one length; each row or
-sequence is bitwise its lone call, which lockstep prediction relies on. The
-rule: a batched product is a stack of products of the lone call's shapes
-(x[:, None, :] @ W.T, one BLAS call per row; a 3-D X @ W.T, one GEMM per
-sequence), never one GEMM over all rows, whose sums BLAS groups by the row
-count. For that reason _char_cnn stays per sentence: its one GEMM over the
-windows of a sentence's words gives bytes that depend on how many windows
-the call holds (with OpenBLAS at 24 columns, a one-row call differs from
-the same row in a larger one), so a sentence's char-CNN vectors come out
-bitwise only from its own call. The tape ops call the LSTM kernels with
+_lstm_seq). _affine and _lstm_cell also take a matrix of rows, _char_cnn
+any number of words, _attend_rows attends for rows of different sentences,
+and _lstm_seq and _bilstm take a leading batch axis of B sequences of one
+length; each row, word or sequence is bitwise its lone call, which lockstep
+prediction relies on. The rule: a batched product is a stack of products of
+the lone call's shapes (x[:, None, :] @ W.T, one BLAS call per row; a 3-D
+X @ W.T, one GEMM per sequence), never one GEMM over all rows, whose sums
+BLAS groups by the row count. The tape ops call the LSTM kernels with
 B = 1; Forward's bilstm takes one sequence or B of them.
 
 A tape op computes its value through its kernel, defines back(g) for its
@@ -492,12 +488,14 @@ def bilstm(tape: Tape, W_fw: Tensor, b_fw: Tensor, W_bw: Tensor, b_bw: Tensor,
 
 
 def _char_cnn(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, lengths: list[int]):
-    """Max-pooled convolution over every word of a sentence at once.
+    """Max-pooled convolution over any number of words at once.
 
     emb holds the words' character rows end to end and lengths their
     counts. Each word is zero-padded to the longest word, and to the window
     when shorter; the positions past a word's own windows are -inf before
-    the max, so a padded window never wins. Returns the (n_words,
+    the max, so a padded window never wins. The responses are a stack of
+    per-window products (`_affine`), so each word's row is bitwise that of
+    its lone call, whatever else the call holds. Returns the (n_words,
     n_filters) output, the windows, the winning position of each word and
     filter, and the (word, position) of each row of emb.
     """
@@ -514,7 +512,7 @@ def _char_cnn(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, lengths: l
     padded[word, pos] = emb
     windows = padded[:, np.arange(n_pos)[:, None] + np.arange(window)].reshape(
         n, n_pos, window * char_dim)
-    responses = (windows.reshape(n * n_pos, -1) @ filters.T + bias).reshape(n, n_pos, n_filters)
+    responses = _affine(filters, windows.reshape(n * n_pos, -1), bias).reshape(n, n_pos, n_filters)
     responses[np.arange(n_pos) >= np.maximum(lengths, window)[:, None] - window + 1] = -np.inf
     best = np.argmax(responses, axis=1)                    # (n, n_filters)
     out = responses[np.arange(n)[:, None], best, np.arange(n_filters)]
@@ -523,8 +521,8 @@ def _char_cnn(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, lengths: l
 
 def char_cnn(tape: Tape, filters: Tensor, bias: Tensor, emb: Tensor,
              lengths: list[int]) -> Tensor:
-    """Single-convolution char CNN with max pooling, for all words of a
-    sentence: (n_words, n_filters).
+    """Single-convolution char CNN with max pooling, for any number of
+    words: (n_words, n_filters).
 
     filters: (n_filters, window * char_dim); emb: (sum(lengths), char_dim),
     the characters of each word in turn.

@@ -217,15 +217,18 @@ def parse_inline(text: str) -> Corpus:
             raise CorpusError("empty token (double space?)", line=i + 1)
         mentions = []
         if mention_line:
-            for part in mention_line.split("|"):
-                match = _MENTION_RE.match(part)
-                if not match:
-                    raise CorpusError(f"malformed mention {part!r}", line=i + 2)
-                frags = []
-                for pair in match.group(1).split(";"):
-                    s, e = pair.split(",")
-                    frags.append(Fragment(int(s), int(e)))
-                mentions.append(Mention(match.group(2), tuple(frags)))
+            try:
+                for part in mention_line.split("|"):
+                    match = _MENTION_RE.match(part)
+                    if not match:
+                        raise CorpusError(f"malformed mention {part!r}")
+                    frags = []
+                    for pair in match.group(1).split(";"):
+                        s, e = pair.split(",")
+                        frags.append(Fragment(int(s), int(e)))
+                    mentions.append(Mention(match.group(2), tuple(frags)))
+            except CorpusError as exc:
+                raise CorpusError(str(exc), line=i + 2) from exc
         try:
             sentences.append(Sentence(tuple(tokens), tuple(mentions)))
         except CorpusError as exc:

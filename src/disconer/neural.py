@@ -15,9 +15,8 @@ on plain arrays. The token encoder runs as whole-sentence ops, and the
 scoring op takes any number of steps: greedy prediction scores each step as
 it comes, teacher forcing all of a sentence's steps at once after the loop.
 `predict_corpus` predicts many sentences with their greedy rollouts stepped
-in lockstep, and encodes all sentences of one length with one encoder call
-(the char-CNN still per sentence), bitwise what `predict` gives each of
-them.
+in lockstep, and encodes all sentences of one length with one encoder call,
+bitwise what `predict` gives each of them.
 """
 
 from __future__ import annotations
@@ -215,8 +214,7 @@ def init_params(config: ScorerConfig, vocab: Vocab) -> ScorerParams:
 # Token representations
 # ---------------------------------------------------------------------------
 
-def token_reps(ops: Ops, sentences: list[Sentence], vocab: Vocab, config: ScorerConfig,
-               known: dict[str, tuple[int, list[int]]] | None = None):
+def token_reps(ops: Ops, sentences: list[Sentence], vocab: Vocab, config: ScorerConfig):
     """The token encodings of sentences of one length n, each from one op
     over all of them: the stack inputs proj of the tokens, and with
     attention on their contextual vectors reps and the attention keys of the
@@ -226,26 +224,21 @@ def token_reps(ops: Ops, sentences: list[Sentence], vocab: Vocab, config: Scorer
     with a leading axis of B, every sentence bitwise its own call.
 
     A token is its word embedding and char-CNN vector, and a BiLSTM runs
-    over the tokens. Unknown words map to the UNK embedding. The char-CNN
-    runs per sentence: its GEMM rows depend on the number of rows in the
-    call. `known` maps each word to its word index and char indices and is
-    filled as words are met; a caller that encodes many groups passes one.
+    over the tokens. Unknown words map to the UNK embedding.
     """
     p = ops.p
-    if not sentences[0].tokens:
+    n = len(sentences[0].tokens)
+    if not n:
         return None, None, None
-    known = {} if known is None else known
-    inputs = []
-    for sent in sentences:
-        for tok in sent.tokens:
-            if tok not in known:
-                known[tok] = vocab.word_index(tok), vocab.char_indices(tok)
-        ids = [known[tok] for tok in sent.tokens]
-        words = ops.rows_lookup(p["word_emb"], [word for word, _ in ids])
-        chars = ops.rows_lookup(p["char_emb"], [c for _, cs in ids for c in cs])
-        cnn = ops.char_cnn(p["char_w"], p["char_b"], chars, [len(cs) for _, cs in ids])
-        inputs.append(ops.concat([words, cnn]))
-    X = inputs[0] if len(inputs) == 1 else np.stack(inputs)
+    tokens = [tok for sent in sentences for tok in sent.tokens]
+    chars = [vocab.char_indices(tok) for tok in tokens]
+    words = ops.rows_lookup(p["word_emb"], [vocab.word_index(tok) for tok in tokens])
+    cnn = ops.char_cnn(p["char_w"], p["char_b"],
+                       ops.rows_lookup(p["char_emb"], [c for cs in chars for c in cs]),
+                       [len(cs) for cs in chars])
+    X = ops.concat([words, cnn])
+    if len(sentences) > 1:
+        X = X.reshape(len(sentences), n, -1)
     reps = ops.bilstm(p["lstm_fw_W"], p["lstm_fw_b"], p["lstm_bw_W"], p["lstm_bw_b"], X)
     proj = ops.project(reps, [p["proj_W"]], p["proj_b"])
     if not config.attention:
@@ -453,8 +446,8 @@ def predict_corpus(sentences, params: ScorerParams, vocab: Vocab,
     sentences of about one length.
 
     The sentences of the chunk that have one length are encoded by one
-    `token_reps` call: one BiLSTM call and one call per projection over all
-    of them, the char-CNN per sentence. A step scores every live sentence of
+    `token_reps` call: one char-CNN, one BiLSTM call and one call per
+    projection over all of them. A step scores every live sentence of
     the chunk at once, and its Stack-LSTM pushes and action-LSTM step run as
     row kernels; the symbolic states stay per sentence, and a sentence
     leaves the chunk when it is terminal. Every product is a stack of the
@@ -492,14 +485,12 @@ def _predict_chunk(ops: ad.Forward, chunk: list[Sentence], vocab: Vocab,
     reps = keys = None
     if config.attention:
         reps, keys = np.zeros((k, width, config.rep_dim)), np.zeros((k, width, 3 * S))
-    # one encoder call per group of sentences of one length; each word's
-    # indices are looked up once for the chunk
+    # one encoder call per group of sentences of one length
     groups: dict[int, list[int]] = {}
     for r, n in enumerate(n_tokens):
         groups.setdefault(n, []).append(r)
-    known: dict[str, tuple[int, list[int]]] = {}
     for n, group in groups.items():
-        encs = token_reps(ops, [chunk[r] for r in group], vocab, config, known)
+        encs = token_reps(ops, [chunk[r] for r in group], vocab, config)
         for pad, enc in zip((proj, reps, keys), encs):
             if enc is not None:
                 pad[group, width - n:] = enc
@@ -539,20 +530,15 @@ def _predict_chunk(ops: ad.Forward, chunk: list[Sentence], vocab: Vocab,
         spans = h[rows[:, None], np.maximum(top, 0)]
         spans[top < 1] = p["s_empty"]
         acts = np.broadcast_to(p["a_empty"], (n_live, A)) if first else act_h[rows]
-        # score: attention over each group of buffers of one length, taken
-        # in order of length, then the output layer over all rows
+        # score: attention over each group of non-empty buffers of one
+        # length (each row is bitwise its lone call, whatever its group),
+        # then the output layer over all rows
         attended = np.zeros((n_live, 3, config.rep_dim))
         if reps is not None:
-            by_m = np.argsort(m, kind="stable")
-            sizes, firsts = np.unique(m[by_m], return_index=True)
-            spans_m, rows_m, attended_m = spans[by_m], rows[by_m], attended[by_m]
-            ends = [*firsts[1:].tolist(), n_live]
-            for size, a, b in zip(sizes.tolist(), firsts.tolist(), ends):
-                if size:
-                    g = rows_m[a:b]
-                    attended_m[a:b] = ad._attend_rows(spans_m[a:b], keys[g, -size:],
-                                                      reps[g, -size:])
-            attended[by_m] = attended_m
+            for size in set(m.tolist()) - {0}:
+                sel = np.flatnonzero(m == size)
+                g = rows[sel]
+                attended[sel] = ad._attend_rows(spans[sel], keys[g, -size:], reps[g, -size:])
         features = np.concatenate([spans.reshape(n_live, -1), attended.reshape(n_live, -1),
                                    acts], axis=1)
         logits = ad._affine(p["out_W"], features, p["out_b"])

@@ -168,6 +168,12 @@ def test_inline_round_trip_on_arbitrary_sentences(drawn):
 def test_parse_inline_errors_carry_line_numbers():
     with pytest.raises(CorpusError, match="line 2"):
         parse_inline("a b\nnot-a-mention X\n")
+    # a bad fragment or an overlap is an error of its mention line too
+    for mentions, message in (("2,1 X", r"invalid fragment \(2,1\)"),
+                              ("1,1 X", r"invalid fragment \(1,1\)"),
+                              ("0,2;1,3 X", r"fragments \(0,2\) and \(1,3\) overlap")):
+        with pytest.raises(CorpusError, match=f"^line 5: {message}$"):
+            parse_inline(f"a b c d\n0,1 X\n\na b c d\n{mentions}\n")
 
 
 # ---------------------------------------------------------------------------

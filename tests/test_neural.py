@@ -1438,6 +1438,22 @@ def test_row_kernels_give_each_row_the_bytes_of_its_lone_call(L):
             assert logits[r].tobytes() == one[0].tobytes()
 
 
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_char_cnn_gives_each_word_the_bytes_of_its_lone_call(window):
+    """_char_cnn over many words gives every word the bytes of _char_cnn on
+    that word alone: a one-character word, a word of exactly the window, the
+    call's longest word and 40 words of random lengths below it."""
+    rng = np.random.default_rng(window)
+    char_dim, F = 8, 8
+    filters, bias = rng.normal(size=(F, window * char_dim)), rng.normal(size=F)
+    lengths = [1, window, 12, *(int(k) for k in rng.integers(1, 12, size=40))]
+    emb = rng.normal(size=(sum(lengths), char_dim))
+    out = ad._char_cnn(filters, bias, emb, lengths)[0]
+    for i, (k, end) in enumerate(zip(lengths, np.cumsum(lengths))):
+        lone = ad._char_cnn(filters, bias, emb[end - k:end], [k])[0]
+        assert out[i].tobytes() == lone[0].tobytes(), (i, k)
+
+
 def _vector_lstm_seq(W, b, X):
     """_lstm_seq's recurrence over one batch X (D, n, in) with the state a
     vector, each step's recurrent product the lone h @ U_half: the hidden
