@@ -7,9 +7,9 @@ by the optimizer. Hot paths are fused nodes with hand-written backward
 closures to keep graphs small. A sentence's encoder is a few whole-sentence
 ops (char_cnn over all words, bilstm, project), and a teacher-forced
 sentence is scored by one score op and one masked_nll over all its steps.
-The per-token ops attend, rows_slice and add_n have no caller in the
-rollout any more; they stay as the references the tests compare the
-whole-sentence ops against.
+The per-token ops row, attend, rows_slice and add_n have no caller in a
+rollout and no place in an op set; they stay as the references the tests
+compare the whole-sentence ops against.
 
 A parameter table read through row() or rows_lookup() (the word, char and
 action embeddings) gets a row-sparse gradient: .grad holds only the rows the
@@ -264,7 +264,7 @@ def row(tape: Tape, table: Tensor, index: int) -> Tensor:
 
 def pick(tape: Tape, M: Tensor, index: int) -> Tensor:
     """M.data[index] of an op's output, with a dense gradient (a parameter
-    table is read through row or rows_lookup)."""
+    table a loss reads is read through rows_lookup)."""
     return tape.record(M.data[index], lambda g: _accum_at(M, index, g))
 
 
@@ -735,9 +735,8 @@ class Recorded:
     op is the module's op of the same name with `tape` bound, looked up when
     the op set is built, so a wrapper installed on the module before then
     sees every op. `p` maps parameter names to their leaf Tensors."""
-    _OPS = ("row", "rows_lookup", "rows_slice", "pick", "concat", "stack_rows", "affine",
-            "project", "lstm_cell", "lstm_seq", "bilstm", "char_cnn", "attend", "score",
-            "masked_nll")
+    _OPS = ("rows_lookup", "pick", "concat", "stack_rows", "affine", "project",
+            "lstm_cell", "lstm_seq", "bilstm", "char_cnn", "score", "masked_nll")
     __slots__ = ("p",) + _OPS
 
     def __init__(self, tape: Tape, p: dict[str, Tensor]):
@@ -749,7 +748,7 @@ class Recorded:
 class Forward:
     """The same ops on plain float64 arrays, for a rollout that nothing
     differentiates: the kernels alone, with no Tape, no Tensor and no closure.
-    A lookup, slice or concatenation is the numpy expression its tape op
+    A lookup, pick or concatenation is the numpy expression its tape op
     evaluates. `p` maps parameter names to their arrays."""
     __slots__ = ("p",)
 
@@ -759,9 +758,8 @@ class Forward:
     concat = staticmethod(lambda parts: np.concatenate(parts, axis=-1))
     stack_rows = staticmethod(_stack_rows)
     affine = staticmethod(_affine)
-    row = pick = staticmethod(lambda M, index: M[index])
+    pick = staticmethod(lambda M, index: M[index])
     rows_lookup = staticmethod(lambda table, indices: table[np.asarray(indices, dtype=np.intp)])
-    rows_slice = staticmethod(lambda M, start, stop: M[start:stop])
     project = staticmethod(lambda X, Ws, b=None: _project(X, Ws, b)[0])
     lstm_cell = staticmethod(lambda W, b, x, h, c: _lstm_cell(W, b, x, h, c)[:2])
     lstm_seq = staticmethod(lambda W, b, X: _lstm_seq(W[None], b[None], X[None, None])[0][0, 0])
@@ -774,7 +772,6 @@ class Forward:
 
     char_cnn = staticmethod(lambda filters, bias, emb, lengths:
                             _char_cnn(filters, bias, emb, lengths)[0])
-    attend = staticmethod(lambda query, W, B: _attend(query, W, B)[0])
     score = staticmethod(lambda spans, acts, starts, reps, keys, W, b:
                          _score(np.array(spans), acts, starts, reps, keys, W, b)[0])
     masked_nll = staticmethod(lambda logits, valid_idx, gold:

@@ -201,6 +201,12 @@ def cmd_train(args) -> int:
         raise CorpusError("train corpus required (flag --train or config train_corpus)")
     if not ckpt_path:
         raise CorpusError("checkpoint path required (flag --checkpoint or config checkpoint)")
+    # the checkpoints are written after the last epoch: refuse now what would fail then
+    if os.path.isdir(ckpt_path):
+        raise CorpusError(f"checkpoint {ckpt_path} is a directory")
+    folder = os.path.dirname(ckpt_path) or "."
+    if not os.path.isdir(folder):
+        raise CorpusError(f"checkpoint directory {folder} does not exist")
     _log_config(config, paths)
     train = read_corpus(train_path, args.format)
     dev = read_corpus(dev_path, args.format) if dev_path else None
@@ -341,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         # in the buffer goes to devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (CorpusError, OSError, ValueError, FloatingPointError) as exc:
+    except (CorpusError, OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

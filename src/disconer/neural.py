@@ -9,14 +9,15 @@ feeds a unidirectional LSTM. The concatenated parser features drive a
 softmax over the valid actions only.
 
 Everything is float64 and deterministic given the seed; training is plain
-per-sentence SGD with teacher forcing on oracle action sequences. Greedy
-prediction of one sentence (`predict`) runs the same rollout forward only,
-on plain arrays. The token encoder runs as whole-sentence ops, and the
-scoring op takes any number of steps: greedy prediction scores each step as
-it comes, teacher forcing all of a sentence's steps at once after the loop.
-`predict_corpus` predicts many sentences with their greedy rollouts stepped
-in lockstep, and encodes all sentences of one length with one encoder call,
-bitwise what `predict` gives each of them.
+per-sentence SGD with teacher forcing on oracle action sequences
+(`_teacher_loss`, on the steps `transitions.walk` checks). Greedy prediction
+of one sentence (`predict`) runs `_rollout` forward only, on plain arrays.
+The token encoder runs as whole-sentence ops, and the scoring op takes any
+number of steps: the greedy rollout scores each step as it comes, teacher
+forcing all of a sentence's steps at once. `predict_corpus` predicts many
+sentences with their greedy rollouts stepped in lockstep, and encodes all
+sentences of one length with one encoder call, bitwise what `predict` gives
+each of them.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .corpus import Corpus, CorpusError, Mention, Sentence, check_entity_type
 from .transitions import (Action, ActionKind, LEFT_REDUCE, OUT, ParserState,
-                          REDUCE, RIGHT_REDUCE, SHIFT, check_finished, complete,
-                          given_action, is_terminal, apply as apply_action,
-                          oracle, valid_actions)
+                          REDUCE, RIGHT_REDUCE, SHIFT, complete, is_terminal,
+                          apply as apply_action, oracle, valid_actions, walk)
 
 UNK = "<unk>"
 # what a rollout calls its ops on: a tape when it trains, plain arrays when not
@@ -295,28 +295,16 @@ def attend(ops: Ops, spans: list, history, starts: list[int], reps, keys):
 # Parser state features
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _NeuralState:
-    """Neural companion of a symbolic ParserState rollout; act_h and act_c
-    are None, the action LSTM's zero state, before the first action."""
-    stack: tuple[StackEntry, ...] = ()
-    act_h: Tensor | np.ndarray | None = None
-    act_c: Tensor | np.ndarray | None = None
-
-
-def encode_parser_state(ops: Ops, neural: _NeuralState):
-    """The step's three top-span vectors, s_empty where the stack is shorter,
-    and its action-history vector, a_empty before the first action."""
+def encode_parser_state(ops: Ops, stack: tuple[StackEntry, ...]):
+    """The step's three top-span vectors, s_empty where the stack is shorter."""
     p = ops.p
-    spans = tuple(neural.stack[-1 - i].h if len(neural.stack) > i else p["s_empty"]
-                  for i in range(3))
-    return spans, neural.act_h if neural.act_h is not None else p["a_empty"]
+    return tuple(stack[-1 - i].h if len(stack) > i else p["s_empty"] for i in range(3))
 
 
 def action_history(ops: Ops, taken: list[int]):
     """The action-history rows of a teacher-forced rollout, from one
     sequence op: a_empty, then the action LSTM's state after each action of
-    `taken`. Greedy prediction advances the same LSTM one action per step."""
+    `taken`. The greedy rollout advances the same LSTM one action per step."""
     p = ops.p
     if not taken:
         return ops.stack_rows([p["a_empty"]])
@@ -324,85 +312,81 @@ def action_history(ops: Ops, taken: list[int]):
     return ops.stack_rows([p["a_empty"], ops.lstm_seq(p["act_W"], p["act_b"], emb)])
 
 
-def _advance_neural(ops: Ops, neural: _NeuralState, action: Action, buffer_pos: int,
-                    proj, action_idx: int | None = None) -> _NeuralState:
-    """Mirror one symbolic action on the neural stack, and on the action
-    history when action_idx is given (greedy); teacher forcing runs the
-    history after the loop, in `action_history`."""
-    p = ops.p
-    stack = neural.stack
+def _advance_neural(ops: Ops, stack: tuple[StackEntry, ...], action: Action, buffer_pos: int,
+                    proj) -> tuple[StackEntry, ...]:
+    """Mirror one symbolic action on the neural stack."""
     kind = action.kind
     if kind is ActionKind.SHIFT:
-        stack = stack_push(ops, stack, ops.pick(proj, buffer_pos))
-    elif kind is ActionKind.OUT:
-        pass
-    elif kind is ActionKind.COMPLETE:
-        stack = stack_pop(stack)
-    else:
-        e0, e1 = stack[-1], stack[-2]
-        new_vec = compose(ops, e0.h, e1.h)
-        stack = stack_pop(stack_pop(stack))
-        if kind is ActionKind.LEFT_REDUCE:
-            stack = stack + (e1,)
-        elif kind is ActionKind.RIGHT_REDUCE:
-            stack = stack_push(ops, stack, e0.vec)
-        stack = stack_push(ops, stack, new_vec)
-
-    if action_idx is None:
-        return _NeuralState(stack)
-    emb = ops.row(p["act_emb"], action_idx)
-    act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], emb, neural.act_h, neural.act_c)
-    return _NeuralState(stack, act_h, act_c)
+        return stack_push(ops, stack, ops.pick(proj, buffer_pos))
+    if kind is ActionKind.OUT:
+        return stack
+    if kind is ActionKind.COMPLETE:
+        return stack_pop(stack)
+    e0, e1 = stack[-1], stack[-2]
+    new_vec = compose(ops, e0.h, e1.h)
+    stack = stack_pop(stack_pop(stack))
+    if kind is ActionKind.LEFT_REDUCE:
+        stack = stack + (e1,)
+    elif kind is ActionKind.RIGHT_REDUCE:
+        stack = stack_push(ops, stack, e0.vec)
+    return stack_push(ops, stack, new_vec)
 
 
 # ---------------------------------------------------------------------------
 # Rollouts: teacher-forced loss and greedy prediction
 # ---------------------------------------------------------------------------
 
-def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig,
-             gold_actions: list[Action] | None = None):
-    """Run the parser; teacher-forced when gold_actions is given (held to the
-    rule and errors of `transitions.decode`), else greedy.
+def _teacher_loss(ops: Ops, sentence: Sentence, gold_actions: list[Action], vocab: Vocab,
+                  config: ScorerConfig):
+    """The summed NLL of gold_actions under the valid-masked softmax (None
+    when there is no step).
 
-    Greedy scores each step as it comes. Under teacher forcing no score
-    feeds back into the loop, so the loop only records each step's span
-    vectors, buffer start and valid set, and one scoring call and one
-    masked-NLL op cover all T steps after it. Recorded ops build the tape a
-    teacher-forced loss is differentiated on; Forward ops run the same
-    arithmetic on plain arrays. Returns the summed loss (None when greedy or
-    when there is no step) and the final symbolic state.
+    `transitions.walk` checks the sequence first, so the loss accepts and
+    refuses what decode and trace do, and a refused sequence raises before
+    any op runs. No score feeds back into the loop, so the loop only mirrors
+    each step's stack, and one scoring call and one masked-NLL op cover all
+    T steps after it. Recorded ops build the tape the loss is differentiated
+    on; Forward ops run the same arithmetic on plain arrays.
+    """
+    steps, _ = walk(gold_actions, len(sentence.tokens), vocab.types)
+    if not steps:
+        return None
+    action_idx = vocab.action_index
+    taken = [action_idx[a] for a in gold_actions]
+    proj, reps, keys = token_reps(ops, [sentence], vocab, config)
+    stack, spans = (), []
+    for (state, _), action in zip(steps, gold_actions):
+        spans.append(encode_parser_state(ops, stack))
+        stack = _advance_neural(ops, stack, action, state.buffer_pos, proj)
+    starts = [state.buffer_pos for state, _ in steps]
+    valids = [sorted(action_idx[a] for a in valid) for _, valid in steps]
+    logits = attend(ops, spans, action_history(ops, taken[:-1]), starts, reps, keys)
+    return ops.masked_nll(logits, valids, taken)
+
+
+def _rollout(ops: Ops, sentence: Sentence, vocab: Vocab, config: ScorerConfig) -> ParserState:
+    """The greedy rollout: each step scores its state and takes the first
+    best valid action. Returns the final symbolic state.
+
+    The action-history row is a_empty before the first action, then the
+    action LSTM's state after the last one.
     """
     n = len(sentence.tokens)
-    actions, action_idx = vocab.actions, vocab.action_index
+    p, actions, action_idx = ops.p, vocab.actions, vocab.action_index
     proj, reps, keys = token_reps(ops, [sentence], vocab, config)
-    teacher = gold_actions is not None
-
-    state = ParserState()
-    neural = _NeuralState()
-    steps, starts, valids, taken = [], [], [], []
+    state, stack = ParserState(), ()
+    act_h = act_c = None                       # the action LSTM's zero state
     while not is_terminal(state, n):
-        valid = valid_actions(state, n, vocab.types)
-        valid_idx = sorted(action_idx[a] for a in valid)
-        spans, act = encode_parser_state(ops, neural)
-        if teacher:
-            chosen = given_action(gold_actions, len(taken), valid)
-            steps.append(spans)
-            starts.append(state.buffer_pos)
-            valids.append(valid_idx)
-        else:
-            logits = attend(ops, [spans], ops.stack_rows([act]), [state.buffer_pos], reps, keys)
-            chosen = actions[valid_idx[int(np.argmax(logits[0, valid_idx]))]]
-        taken.append(action_idx[chosen])
-        neural = _advance_neural(ops, neural, chosen, state.buffer_pos, proj,
-                                 None if teacher else taken[-1])
-        state = apply_action(state, chosen)
-    if not teacher:
-        return None, state
-    check_finished(gold_actions, len(taken))
-    if not taken:
-        return None, state
-    logits = attend(ops, steps, action_history(ops, taken[:-1]), starts, reps, keys)
-    return ops.masked_nll(logits, valids, taken), state
+        valid_idx = sorted(action_idx[a] for a in valid_actions(state, n, vocab.types))
+        spans = encode_parser_state(ops, stack)
+        act = p["a_empty"] if act_h is None else act_h
+        logits = attend(ops, [spans], ops.stack_rows([act]), [state.buffer_pos], reps, keys)
+        i = valid_idx[int(np.argmax(logits[0, valid_idx]))]
+        act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], ops.pick(p["act_emb"], i),
+                                     act_h, act_c)
+        stack = _advance_neural(ops, stack, actions[i], state.buffer_pos, proj)
+        state = apply_action(state, actions[i])
+    return state
 
 
 def sentence_loss(sentence: Sentence, gold_actions: list[Action],
@@ -410,7 +394,7 @@ def sentence_loss(sentence: Sentence, gold_actions: list[Action],
                   config: ScorerConfig) -> tuple[Tensor, Tape]:
     """Sum of per-step NLL of gold actions under the valid-masked softmax."""
     tape = Tape()
-    loss, _ = _rollout(ad.Recorded(tape, params.t), sentence, vocab, config, gold_actions)
+    loss = _teacher_loss(ad.Recorded(tape, params.t), sentence, gold_actions, vocab, config)
     return (loss if loss is not None else tape.record(np.asarray(0.0))), tape
 
 
@@ -418,8 +402,7 @@ def predict(sentence: Sentence, params: ScorerParams, vocab: Vocab,
             config: ScorerConfig) -> frozenset[Mention]:
     """Greedy argmax rollout, decoded into the output mention set. It runs
     forward only: no tape, no Tensor and no closure."""
-    _, state = _rollout(ad.Forward(params.arrays()), sentence, vocab, config)
-    return frozenset(state.outputs)
+    return frozenset(_rollout(ad.Forward(params.arrays()), sentence, vocab, config).outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +662,7 @@ def finite_diff_check(params: ScorerParams, sentence: Sentence, vocab: Vocab,
     forward = ad.Forward(params.arrays())   # sees the in-place nudges below
 
     def loss_value() -> float:
-        return float(_rollout(forward, sentence, vocab, config, gold_actions)[0])
+        return float(_teacher_loss(forward, sentence, gold_actions, vocab, config))
 
     params.zero_grad()
     loss, tape = sentence_loss(sentence, gold_actions, params, vocab, config)

@@ -9,9 +9,8 @@ state, so per-sentence rollouts can run in parallel. Every rollout over n
 tokens ends within 4n - 1 actions, so no step limit is needed.
 
 A given action sequence is a derivation when it takes each action from the
-valid set of its state and ends in the terminal state. `given_action` and
-`check_finished` hold that rule for decode, trace and the teacher-forced
-rollout of the scorer.
+valid set of its state and ends in the terminal state. `walk` holds that
+rule for decode, trace and the teacher-forced loss of the scorer.
 """
 
 from __future__ import annotations
@@ -110,27 +109,11 @@ class InvalidActionError(CorpusError):
         self.step = step
 
 
-def given_action(actions: list[Action], step: int, valid: set[Action]) -> Action:
-    """Action `step` of a given sequence, taken from a non-terminal state
-    with this valid set; a sequence with no action left stops short."""
-    if step == len(actions):
-        raise CorpusError("action sequence ends in a non-terminal state")
-    if actions[step] not in valid:
-        raise InvalidActionError(actions[step], step)
-    return actions[step]
-
-
-def check_finished(actions: list[Action], steps: int) -> None:
-    """A given sequence whose first `steps` actions reach the terminal state ends there."""
-    if steps < len(actions):
-        raise InvalidActionError(actions[steps], steps)
-
-
 def apply(state: ParserState, action: Action) -> ParserState:
     """The successor state after an action taken from valid_actions(state, ...).
 
-    Unchecked here: a given sequence is checked by `given_action` before
-    each of its actions is applied.
+    Unchecked here: `walk` checks a given sequence before each of its
+    actions is applied.
     """
     kind = action.kind
     if kind is ActionKind.SHIFT:
@@ -152,16 +135,23 @@ def apply(state: ParserState, action: Action) -> ParserState:
     return ParserState(state.buffer_pos, below + (new_span,), state.outputs)
 
 
-def _walk(actions: list[Action], sentence_len: int, type_set) -> tuple[list, ParserState]:
+def walk(actions: list[Action], sentence_len: int, type_set) -> tuple[list, ParserState]:
     """Check and apply a given sequence: the (state, valid set) each action
-    is taken from, and the terminal state."""
+    is taken from, and the terminal state. A sequence that runs out before
+    the terminal state raises CorpusError; an action outside its state's
+    valid set, or one after the terminal state, InvalidActionError."""
     state, taken = ParserState(), []
     while not is_terminal(state, sentence_len):
+        step = len(taken)
+        if step == len(actions):
+            raise CorpusError("action sequence ends in a non-terminal state")
         valid = valid_actions(state, sentence_len, type_set)
-        action = given_action(actions, len(taken), valid)
+        if actions[step] not in valid:
+            raise InvalidActionError(actions[step], step)
         taken.append((state, valid))
-        state = apply(state, action)
-    check_finished(actions, len(taken))
+        state = apply(state, actions[step])
+    if len(taken) < len(actions):
+        raise InvalidActionError(actions[len(taken)], len(taken))
     return taken, state
 
 
@@ -171,7 +161,7 @@ def decode(actions: list[Action], sentence_len: int,
     COMPLETE outputs collapse: strict-match evaluation is set-based."""
     if type_set is None:
         type_set = sorted({a.entity_type for a in actions if a.entity_type})
-    return frozenset(_walk(actions, sentence_len, type_set)[1].outputs)
+    return frozenset(walk(actions, sentence_len, type_set)[1].outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def trace(sentence: Sentence, actions: list[Action]) -> TraceReport:
     Refuses the same sequences as decode, with the same errors."""
     type_set = sorted({a.entity_type for a in actions if a.entity_type}
                       | {m.entity_type for m in sentence.mentions})
-    taken, _ = _walk(actions, len(sentence.tokens), type_set)
+    taken, _ = walk(actions, len(sentence.tokens), type_set)
     return TraceReport(tuple(
         TraceStep(
             step=i + 1,

@@ -21,13 +21,13 @@ from disconer.synth import make_corpus
 PACKAGE_ROOT = str(Path(disconer.__file__).resolve().parent.parent)
 
 
-def run_python(*args, cwd=None, stdout=subprocess.PIPE):
+def run_python(*args, cwd=None, stdout=subprocess.PIPE, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args],
                           stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd,
-                          env=env)
+                          env=env, preexec_fn=preexec_fn)
 
 
 def run_cli(*args, cwd=None, stdout=subprocess.PIPE):
@@ -348,6 +348,41 @@ def test_train_refuses_a_missing_path_before_it_prints(workdir):
         out = run_cli("--config", "nopath.cfg", "train", *flags, cwd=workdir)
         assert "required" in _one_error_line(out)
         assert out.stdout == ""
+
+
+def test_train_refuses_a_checkpoint_it_cannot_write_before_it_prints(workdir):
+    """A checkpoint in a missing directory, or one that names a directory,
+    is refused before the first epoch, not after the last."""
+    (workdir / "one_epoch.cfg").write_text("epochs = 1\n")
+    (workdir / "a_dir").mkdir(exist_ok=True)
+    for path, message in (("nodir/m.ckpt", "checkpoint directory nodir does not exist"),
+                          ("a_dir", "checkpoint a_dir is a directory")):
+        out = run_cli("--config", "one_epoch.cfg", "train", "--train", "dev.txt",
+                      "--checkpoint", path, cwd=workdir)
+        assert out.stderr.strip().splitlines() == [_one_error_line(out)]
+        assert message in out.stderr
+        assert out.stdout == ""
+    assert not (workdir / "a_dir.last").exists()
+
+
+def _cap_address_space():
+    """Run in the child before exec: cap its address space at 4 GiB, so that
+    an allocation beyond it fails at once instead of touching memory."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_train_reports_a_config_too_large_for_memory_as_one_error_line(workdir):
+    """hidden_dim = 200000 asks for a 1.16 TiB LSTM weight matrix; under a
+    4 GiB address-space cap the allocation fails, and train ends in one
+    error: line and exit 1, not a traceback. Never run it without the cap."""
+    (workdir / "huge.cfg").write_text("epochs = 1\nhidden_dim = 200000\n")
+    out = run_python("-m", "disconer.cli", "--config", "huge.cfg", "train",
+                     "--train", "dev.txt", "--checkpoint", "huge.bin", cwd=workdir,
+                     preexec_fn=_cap_address_space)
+    assert out.stderr.strip().splitlines() == [_one_error_line(out)]
+    assert "Unable to allocate" in out.stderr
+    assert not (workdir / "huge.bin").exists()
 
 
 def test_config_line_names_the_paths_the_run_uses(workdir):

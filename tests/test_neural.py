@@ -152,8 +152,9 @@ def test_masked_nll_gradient():
 
 
 def _tape_op_cases():
-    """Arguments of add_n and of each op of Recorded._OPS, with arrays where
-    the op takes Tensors."""
+    """Arguments of each op of Recorded._OPS and of the reference-only ops
+    add_n, row, rows_slice and attend, with arrays where the op takes
+    Tensors."""
     rng = np.random.default_rng(13)
     H, D, n, T = 2, 3, 4, 2
 
@@ -199,7 +200,7 @@ def test_a_tape_op_runs_its_backward_only_when_its_output_has_a_gradient():
     c2 alone for lstm_cell) every input gets one. Either way backward drops
     every closure."""
     cases = _tape_op_cases()
-    assert set(cases) == set(ad.Recorded._OPS) | {"add_n"}
+    assert set(cases) == set(ad.Recorded._OPS) | {"add_n", "row", "rows_slice", "attend"}
     for name, args in cases.items():
         for seeded in ([], [0], [1]) if name == "lstm_cell" else ([], [0]):
             inputs = []
@@ -859,7 +860,7 @@ def test_bench_tracer_splits_predict_without_a_tape():
     records no tape and calls none of the wrapped autodiff ops."""
     s = next(s for s in CORPUS if s.mentions)
     params = init_params(CONFIG, VOCAB)
-    _, final = neural._rollout(ad.Forward(params.arrays()), s, VOCAB, CONFIG)
+    final = neural._rollout(ad.Forward(params.arrays()), s, VOCAB, CONFIG)
     tracer = _load_tracer()
     try:
         tracer.install()
@@ -987,15 +988,12 @@ def test_forward_kernels_match_the_tape_ops_bitwise():
             "lstm_seq": arrays((4 * H, D + H), (4 * H,), (n, D)),
             "bilstm": arrays((4 * H, D + H), (4 * H,), (4 * H, D + H), (4 * H,), (n, D)),
             "char_cnn": arrays((H, 3 * D), (H,), (sum(lengths), D)) + [lengths],
-            "attend": arrays((H,), (H, D), (n, D)),
             "score": [[tuple(arrays((H,), (H,), (H,))) for _ in range(T)],
                       *arrays((T, D)), starts,
                       *(arrays((n, 2), (n, 3 * H)) if attention else [None, None]),
                       *arrays((4, 3 * H + 6 + D), (4,))],
             "masked_nll": arrays((T, 6)) + [[[0, 2, 5]] * T, [2] * T],
             "project": [*arrays((n, D)), arrays((H, D), (2, D)), *arrays((H + 2,))],
-            "rows_slice": arrays((n + 2, D)) + [1, n + 1],
-            "row": arrays((n, D)) + [n - 1],
             "pick": arrays((n, D)) + [n - 1],
             "rows_lookup": arrays((n, D)) + [[n - 1, 0, n - 1]],
             "concat": [arrays((H,), (D,), (n,))],
@@ -1294,7 +1292,7 @@ def _per_token_loss(sentence, gold_actions, params, vocab, config):
     for tok in sentence.tokens:
         chars = ops.rows_lookup(p["char_emb"], vocab.char_indices(tok))
         cvec = ops.pick(ops.char_cnn(p["char_w"], p["char_b"], chars, [len(tok)]), 0)
-        t_vecs.append(ops.concat([ops.row(p["word_emb"], vocab.word_index(tok)), cvec]))
+        t_vecs.append(ops.concat([ad.row(tape, p["word_emb"], vocab.word_index(tok)), cvec]))
     X = ops.stack_rows(t_vecs)
     fwd = _lstm_chain(tape, p["lstm_fw_W"], p["lstm_fw_b"], X, range(n))
     bwd = _lstm_chain(tape, p["lstm_bw_W"], p["lstm_bw_b"], X, range(n - 1, -1, -1))
@@ -1304,7 +1302,8 @@ def _per_token_loss(sentence, gold_actions, params, vocab, config):
     while not is_terminal(state, n):
         valid_idx = sorted(vocab.action_index[a] for a in valid_actions(state, n, vocab.types))
         spans = [stack[-1 - i].h if len(stack) > i else p["s_empty"] for i in range(3)]
-        attended = [ops.attend(s, p[f"attn_W{i}"], ops.rows_slice(C, state.buffer_pos, n))
+        attended = [ad.attend(tape, s, p[f"attn_W{i}"],
+                              ad.rows_slice(tape, C, state.buffer_pos, n))
                     if config.attention and state.buffer_pos < n
                     else ad.leaf(np.zeros(config.rep_dim))
                     for i, s in enumerate(spans)]
@@ -1328,7 +1327,7 @@ def _per_token_loss(sentence, gold_actions, params, vocab, config):
             elif kind is ActionKind.RIGHT_REDUCE:
                 stack = stack_push(ops, stack, e0.vec)
             stack = stack_push(ops, stack, new_vec)
-        act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], ops.row(p["act_emb"], idx),
+        act_h, act_c = ops.lstm_cell(p["act_W"], p["act_b"], ad.row(tape, p["act_emb"], idx),
                                      act_h, act_c)
         state = apply(state, chosen)
     return ad.add_n(tape, losses), tape
@@ -1382,7 +1381,7 @@ def test_gradient_matches_finite_differences_at_every_coordinate(attention):
     forward = ad.Forward(params.arrays())           # sees the nudges below
 
     def total() -> float:
-        return sum(float(neural._rollout(forward, s, vocab, config, gold)[0])
+        return sum(float(neural._teacher_loss(forward, s, gold, vocab, config))
                    for s, gold in zip(sentences, golds))
 
     eps, worst = 1e-4, 0.0     # a smaller step drowns gradients near 1e-4 in roundoff
@@ -1621,3 +1620,40 @@ def test_predict_corpus_is_predict_bitwise_on_unseen_repeated_and_short_words(mo
         if chunk == len(sents):        # step t has a row for each sentence still live
             assert [sorted(row.tobytes() for row in step) for step in steps] == \
                 [sorted(s[t] for s in lone if len(s) > t) for t in range(len(steps))]
+
+
+# ---------------------------------------------------------------------------
+# The teacher-forced and the greedy rollout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_teacher_forcing_scores_the_greedy_sequence_as_the_greedy_rollout(monkeypatch,
+                                                                          attention):
+    """A trained model's greedy action sequence, scored with teacher-forced
+    Forward ops, gets at every step the logits the greedy rollout chose from,
+    to 1e-12 relative: teacher forcing scores all T steps in one product, so
+    the match is not bitwise. The sequence decodes to predict's mentions."""
+    config = ScorerConfig(hidden_dim=8, stack_dim=8, epochs=6, attention=attention)
+    params, vocab, _ = train(make_corpus(80, seed=41), config)
+    forward = ad.Forward(params.arrays())
+    apply_ = neural.apply_action
+    found = 0
+    for s in make_corpus(30, seed=42):
+        taken = []
+        with monkeypatch.context() as mp:
+            mp.setattr(neural, "apply_action",
+                       lambda state, a: taken.append(a) or apply_(state, a))
+            final, greedy = _step_logits(monkeypatch,
+                                         lambda: neural._rollout(forward, s, vocab, config),
+                                         params, lockstep=False)
+        loss, teacher = _step_logits(
+            monkeypatch, lambda: neural._teacher_loss(forward, s, taken, vocab, config),
+            params, lockstep=False)
+        assert len(teacher) == 1 and teacher[0].shape[0] == len(greedy) == len(taken)
+        for row, step in zip(teacher[0], greedy):
+            _close(row, step[0])
+        assert np.isfinite(loss)
+        assert decode(taken, len(s.tokens), vocab.types) == frozenset(final.outputs) \
+            == predict(s, params, vocab, config)
+        found += len(final.outputs)
+    assert found > 0
